@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-perf lint all
+.PHONY: test bench bench-perf bench-e2e bench-e2e-smoke lint all
 
 # Tier-1: the full unit/integration suite (ROADMAP.md gate).
 test:
@@ -21,6 +21,17 @@ bench:
 # BENCH_SMOKE=1 for the seconds-scale CI variant.
 bench-perf:
 	$(PYTHON) -m pytest benchmarks/test_perf_mlv.py benchmarks/test_perf_sta.py benchmarks/test_perf_aging.py benchmarks/test_perf_obs.py benchmarks/test_perf_artifacts.py benchmarks/test_perf_hotpaths.py benchmarks/test_perf_scale.py --benchmark-only -q -s
+
+# End-to-end benchmark (benchmarks/e2e/README.md): two full sets of
+# every workload, written to benchmarks/e2e/BENCH_e2e.json.  One
+# workload run: python3 benchmarks/e2e/run.py --workload W --seed N
+# --seconds 20 --trace 0|1.
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py
+
+# Its self-test at smoke size (the CI e2e-smoke job).
+bench-e2e-smoke:
+	$(PYTHON) -m pytest benchmarks/e2e/test_e2e_smoke.py -q
 
 lint:
 	ruff check src tests benchmarks examples

@@ -51,24 +51,39 @@ def _canon(obj: Any) -> Any:
     raise TypeError(f"cannot canonicalize {type(obj).__name__} for hashing")
 
 
-def _hash(kind: str, payload: Any) -> str:
-    """SHA-256 hex digest of ``[kind, SCHEMA_VERSION, payload]``."""
-    text = json.dumps([kind, SCHEMA_VERSION, _canon(payload)],
+def _digest(kind: str, canonical: Any) -> str:
+    """SHA-256 hex digest of ``[kind, SCHEMA_VERSION, canonical]``.
+
+    ``canonical`` must already be in the form :func:`_canon` returns;
+    payloads built only from strings, ints, bools and lists of them
+    are, and skip the rewrite pass.
+    """
+    text = json.dumps([kind, SCHEMA_VERSION, canonical],
                       separators=(",", ":"), sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _hash(kind: str, payload: Any) -> str:
+    """SHA-256 hex digest of ``[kind, SCHEMA_VERSION, _canon(payload)]``."""
+    return _digest(kind, _canon(payload))
 
 
 # -- circuits ----------------------------------------------------------------
 
 
 def circuit_fingerprint(circuit) -> str:
-    """Structural hash of a netlist, independent of its display name."""
+    """Structural hash of a netlist, independent of its display name.
+
+    The payload is lists of net and cell names, which :func:`_canon`
+    returns unchanged, so it is digested as is: the same digest as
+    ``_hash("circuit", payload)`` without the per-element rewrite.
+    """
     payload = [
         list(circuit.primary_inputs),
         list(circuit.primary_outputs),
         [[g.name, g.cell, list(g.inputs)] for g in circuit.gates.values()],
     ]
-    return _hash("circuit", payload)
+    return _digest("circuit", payload)
 
 
 # -- libraries ---------------------------------------------------------------

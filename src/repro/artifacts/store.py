@@ -242,13 +242,26 @@ class ArtifactStore:
 
     def load_result(self, circuit_fp: str, scenario_key: str
                     ) -> Optional[Dict[str, Any]]:
-        """The cached payload, or ``None`` (counted miss)."""
+        """The cached payload, or ``None`` (counted miss).
+
+        A damaged record — empty, truncated, or not a JSON object — is
+        a miss too, also counted as ``store.result_corrupt``: the caller
+        recomputes, and :meth:`save_result` replaces it atomically.
+        """
         path = self._result_path(circuit_fp, scenario_key)
-        if not path.exists():
+        try:
+            payload = json.loads(path.read_bytes())
+            corrupt = not isinstance(payload, dict)
+        except FileNotFoundError:
+            payload, corrupt = None, False
+        except ValueError:  # empty, truncated, or not UTF-8
+            payload, corrupt = None, True
+        if corrupt:
+            obs.count("store.result_corrupt")
+        if corrupt or payload is None:
             self.stats.record_miss("result")
             obs.count("store.result_misses")
             return None
-        payload = json.loads(path.read_text("utf-8"))
         self.stats.record_hit("result")
         obs.count("store.result_hits")
         return payload

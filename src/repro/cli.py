@@ -199,53 +199,65 @@ def _store_note(store) -> None:
           f"result hits={r['hits']} misses={r['misses']}", file=sys.stderr)
 
 
+def _aged_numbers(context, profile, args) -> dict:
+    """The four ``age`` numbers, computed on ``context``."""
+    from repro.sta import ALL_ONE, ALL_ZERO
+
+    standby = {"worst": ALL_ZERO, "best": ALL_ONE}[args.standby]
+    res = context.aged_delays(profile, years(args.years), standby=standby)
+    return {"fresh_delay": res.fresh_delay,
+            "aged_delay": res.aged_delay,
+            "degradation": res.relative_degradation,
+            "max_shift": res.max_shift}
+
+
+def _is_age_result(payload) -> bool:
+    """Whether a stored payload holds every number ``age`` prints."""
+    return payload is not None and all(
+        type(payload.get(name)) in (int, float)
+        for name in ("fresh_delay", "aged_delay", "degradation", "max_shift"))
+
+
 def cmd_age(args) -> int:
     """``age``: temperature-aware aged timing of one circuit.
 
-    With ``--store`` the compiled artifacts hydrate from (and persist
-    to) the artifact store and the final numbers are served from its
-    result cache; JSON round-trips floats exactly, so a warm run's
-    stdout is byte-identical to the cold run's.
+    With ``--store`` the result record is looked up first, keyed by
+    ``(circuit_fingerprint, scenario_key)`` — the lookup ``repro
+    serve`` makes on submit.  A hit prints from that record alone: no
+    bundle is loaded, hydrated, lowered or written.  A miss (no
+    record, or a damaged one) builds the store-backed context, which
+    hydrates from the stored bundle when there is one, computes, saves
+    the result and persists the bundle if it is absent.  JSON
+    round-trips floats exactly, so a warm run's stdout is
+    byte-identical to the cold run's.
     """
     from repro.context import AnalysisContext
-    from repro.sta import ALL_ONE, ALL_ZERO
     circuit = resolve_circuit(args.circuit)
     profile = _profile_from(args)
-    standby = {"worst": ALL_ZERO, "best": ALL_ONE}[args.standby]
     store_dir = getattr(args, "store", None)
     if store_dir is None:
         # Summary path: both STA passes stay on ndarrays, so generated
         # 10^5-gate circuits age in kernel time.  Same floats as the
         # full aged_timing() result (compiled == scalar, pinned).
-        context = AnalysisContext(circuit)
-        res = context.aged_delays(profile, years(args.years),
-                                  standby=standby)
-        numbers = {"fresh_delay": res.fresh_delay,
-                   "aged_delay": res.aged_delay,
-                   "degradation": res.relative_degradation,
-                   "max_shift": res.max_shift}
+        numbers = _aged_numbers(AnalysisContext(circuit), profile, args)
     else:
-        from repro.artifacts import ArtifactStore, scenario_key
+        from repro.artifacts import (ArtifactStore, circuit_fingerprint,
+                                     scenario_key)
 
         store = ArtifactStore(store_dir)
-        context = AnalysisContext(circuit, store=store)
         key = scenario_key({"command": "age", "ras": args.ras,
                             "t_active": args.t_active,
                             "t_standby": args.t_standby,
                             "years": args.years,
                             "standby": args.standby})
-        circuit_fp = context.content_fingerprints()["circuit"]
+        circuit_fp = circuit_fingerprint(circuit)
         numbers = store.load_result(circuit_fp, key)
-        if numbers is None:
-            res = context.aged_delays(profile, years(args.years),
-                                      standby=standby)
-            numbers = {"fresh_delay": res.fresh_delay,
-                       "aged_delay": res.aged_delay,
-                       "degradation": res.relative_degradation,
-                       "max_shift": res.max_shift}
+        if not _is_age_result(numbers):
+            context = AnalysisContext(circuit, store=store)
+            numbers = _aged_numbers(context, profile, args)
             store.save_result(circuit_fp, key, numbers)
-        if not store.has_bundle(context.content_key()):
-            context.save_to_store()
+            if not store.has_bundle(context.content_key()):
+                context.save_to_store()
         _store_note(store)
     _print_age_report(circuit.name, profile, args.years, args.standby,
                       numbers)

@@ -11,14 +11,18 @@ import unittest
 from pathlib import Path
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.artifacts import (
     ArtifactBundle,
     ArtifactStore,
     bundle_key,
+    circuit_fingerprint,
     scenario_key,
 )
+from repro.artifacts.fingerprint import _hash
 from repro.cells.library import build_library
 from repro.constants import TEN_YEARS
 from repro.context import AnalysisContext
@@ -31,7 +35,9 @@ from repro.flow.parallel import (
     run_co_optimization_sweep,
     run_potential_sweep,
 )
+from repro.netlist import iscas85
 from repro.netlist.circuit import Circuit, Gate
+from repro.netlist.generators import scale_circuit
 from repro.tech.ptm import PTM90_HVT
 
 PROFILE = OperatingProfile.from_ras("1:5", t_standby=330.0)
@@ -115,6 +121,55 @@ class TestFingerprints(unittest.TestCase):
         self.assertEqual(scenario_key({"a": 1, "b": 2.5}),
                          scenario_key({"b": 2.5, "a": 1}))
         self.assertNotEqual(scenario_key({"a": 1}), scenario_key({"a": 2}))
+
+
+def _circuit_payload(circuit) -> list:
+    return [list(circuit.primary_inputs), list(circuit.primary_outputs),
+            [[g.name, g.cell, list(g.inputs)] for g in circuit.gates.values()]]
+
+
+#: Net names that stress the JSON encoding: quotes, backslashes,
+#: control characters and non-ASCII (BMP and astral).
+_NET_NAMES = st.text(
+    alphabet=st.one_of(st.sampled_from("\"'\\/\n\t\x00é漢𝔘"),
+                       st.characters()),
+    min_size=1, max_size=12)
+
+
+class TestCircuitDigest(unittest.TestCase):
+    """``circuit_fingerprint`` skips ``_canon``; every digest must not move.
+
+    Stores written before the fast path keep hitting only while the
+    digest is byte-identical to ``_hash("circuit", payload)``.  A change
+    to the hashing scheme must bump ``SCHEMA_VERSION`` deliberately,
+    which the pinned c17 digest below forces.
+    """
+
+    def test_c17_digest_pinned(self):
+        self.assertEqual(
+            circuit_fingerprint(load_circuit("c17")),
+            "4da3f28eacea6c27b8d82696ccbe5da4161468e5d69e672faadb4f72b9476bc9")
+
+    def test_matches_canonical_hash_on_corpus(self):
+        circuits = [load_circuit(n) for n in ("c17", *iscas85.NAMES)]
+        circuits.append(scale_circuit(5000, seed=1))
+        for circuit in circuits:
+            self.assertEqual(circuit_fingerprint(circuit),
+                             _hash("circuit", _circuit_payload(circuit)),
+                             circuit.name)
+
+    @settings(max_examples=60, deadline=None)
+    @given(names=st.lists(_NET_NAMES, min_size=3, max_size=8, unique=True),
+           cell=_NET_NAMES)
+    def test_matches_canonical_hash_for_any_net_names(self, names, cell):
+        pis, outputs = names[:2], names[2:]
+        gates, drivers = [], list(pis)
+        for name in outputs:
+            gates.append(Gate(name, cell, [drivers[0], drivers[-1]]))
+            drivers.append(name)
+        circuit = Circuit("h", pis, outputs[-1:], gates)
+        self.assertEqual(circuit_fingerprint(circuit),
+                         _hash("circuit", _circuit_payload(circuit)))
 
 
 class TestArtifactBundle(unittest.TestCase):
@@ -236,6 +291,30 @@ class TestArtifactStore(unittest.TestCase):
                          {"x": 0.12345678901234567})
         self.assertEqual(store.stats.hits("result"), 1)
         self.assertEqual(store.stats.misses("result"), 1)
+
+    def test_damaged_result_record_is_a_counted_miss(self):
+        store = ArtifactStore(self.root)
+        store.save_result("fp", "key", {"x": 0.5})
+        path = store._result_path("fp", "key")
+        good = path.read_bytes()
+        damaged = [b"", good[:len(good) // 2], b"[1, 2]", b"null",
+                   b"\xff\xfe{"]
+        registry = obs.MetricsRegistry()
+        with obs.use_tracer(obs.Tracer()), obs.use_metrics(registry):
+            for data in damaged:
+                path.write_bytes(data)
+                self.assertIsNone(store.load_result("fp", "key"), data)
+            self.assertIsNone(store.load_result("fp", "absent"))
+        snapshot = registry.snapshot()
+        self.assertEqual(_counter_total(snapshot, "store.result_corrupt"),
+                         len(damaged))
+        self.assertEqual(_counter_total(snapshot, "store.result_misses"),
+                         len(damaged) + 1)
+        self.assertEqual(store.stats.misses("result"), len(damaged) + 1)
+        self.assertEqual(store.stats.hits("result"), 0)
+        # The recompute's save replaces the damaged record.
+        store.save_result("fp", "key", {"x": 0.5})
+        self.assertEqual(store.load_result("fp", "key"), {"x": 0.5})
 
     def test_orphan_arrays_are_invisible(self):
         # A crash between the .npz and its manifest leaves an orphan

@@ -191,6 +191,73 @@ class TestGenerateCli:
         assert "degradation" in capsys.readouterr().out
 
 
+class TestAgeStoreCli:
+    """``age --store``: the result record answers a warm run on its own."""
+
+    @staticmethod
+    def _age(capsys, argv, report):
+        assert main(argv + ["--metrics", str(report)]) == 0
+        out = capsys.readouterr().out
+        return out, json.loads(report.read_text())
+
+    @staticmethod
+    def _counter(doc, name) -> int:
+        entry = doc["metrics"].get(name)
+        return sum(entry["values"].values()) if entry else 0
+
+    def _lowerings(self, doc) -> int:
+        return sum(self._counter(doc, name) for name in doc["metrics"]
+                   if name.endswith(".lowerings"))
+
+    @staticmethod
+    def _store_scope(doc):
+        [entry] = [e for e in doc["cache_stats"]
+                   if e["scope"].startswith("store:")]
+        return {name: {k: entry["artifacts"].get(name, {}).get(k, 0)
+                       for k in ("hits", "misses")}
+                for name in ("bundle", "result")}
+
+    def test_warm_run_reads_only_the_result_record(self, tmp_path, capsys):
+        argv = ["age", "c432", "--store", str(tmp_path / "store")]
+        cold_out, cold = self._age(capsys, argv, tmp_path / "cold.json")
+        assert self._lowerings(cold) > 0
+        warm_out, warm = self._age(capsys, argv, tmp_path / "warm.json")
+        assert warm_out == cold_out
+        assert self._counter(warm, "artifacts.hydrations") == 0
+        assert self._lowerings(warm) == 0
+        assert self._store_scope(warm) == {
+            "bundle": {"hits": 0, "misses": 0},
+            "result": {"hits": 1, "misses": 0}}
+        # A result miss on the same circuit hydrates from the bundle the
+        # cold run stored: it still lowers nothing.
+        _, other = self._age(capsys, argv + ["--ras", "1:5"],
+                             tmp_path / "other.json")
+        assert self._store_scope(other) == {
+            "bundle": {"hits": 1, "misses": 0},
+            "result": {"hits": 0, "misses": 1}}
+        assert self._counter(other, "artifacts.hydrations") > 0
+        assert self._lowerings(other) == 0
+
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "no-numbers"])
+    def test_damaged_result_record_is_recomputed(self, tmp_path, capsys,
+                                                 damage):
+        store = tmp_path / "store"
+        argv = ["age", "c17", "--store", str(store)]
+        assert main(argv) == 0
+        cold_out = capsys.readouterr().out
+        [record] = store.glob("results/*/*.json")
+        good = record.read_bytes()
+        record.write_bytes({"empty": b"", "truncated": good[:len(good) // 2],
+                            "no-numbers": b"{}"}[damage])
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold_out
+        assert record.read_bytes() == good
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cold_out
+        assert "result hits=1 misses=0" in captured.err
+
+
 class TestShardedSweepCli:
     ARGS = ["--vectors", "8", "--set-size", "2", "--workers", "1"]
 
