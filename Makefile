@@ -14,11 +14,14 @@ test:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Kernel-vs-scalar perf harnesses (MLV, STA, aging, artifact warm
-# starts, hot paths, scale axis) plus the disabled observability
-# overhead bound; write the benchmarks/BENCH_*.json artifacts and
-# append one summary line per suite to benchmarks/BENCH_history.jsonl.
-# BENCH_SMOKE=1 for the seconds-scale CI variant.
+# Perf harnesses (MLV, STA, aging, artifact warm starts, hot paths,
+# scale axis) plus the disabled observability overhead bound.  Kernel
+# rows race their scalar oracle under a speedup bar; whole-flow rows
+# report absolute seconds and check their result against the golden
+# fixtures in tests/golden/.  They write the benchmarks/BENCH_*.json
+# artifacts and append one summary line per suite to
+# benchmarks/BENCH_history.jsonl.  BENCH_SMOKE=1 for the seconds-scale
+# CI variant.
 bench-perf:
 	$(PYTHON) -m pytest benchmarks/test_perf_mlv.py benchmarks/test_perf_sta.py benchmarks/test_perf_aging.py benchmarks/test_perf_obs.py benchmarks/test_perf_artifacts.py benchmarks/test_perf_hotpaths.py benchmarks/test_perf_scale.py --benchmark-only -q -s
 

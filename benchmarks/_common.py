@@ -12,6 +12,21 @@ from repro.obs.perf import history_line
 #: Append-only trajectory of benchmark results (one JSON line per
 #: suite run), next to the per-suite BENCH_*.json point snapshots.
 HISTORY = Path(__file__).with_name("BENCH_history.jsonl")
+REPO = Path(__file__).resolve().parents[1]
+
+
+def golden_match(name: str, key: str, result) -> bool:
+    """Whether ``result`` equals entry ``key`` of ``tests/golden/<name>.json``.
+
+    Flows have one code path, so a harness row timing a flow checks its
+    result against the golden fixture of the same flow and arguments,
+    serialized exactly as ``tests/test_golden_outputs.py`` does.
+    """
+    if str(REPO) not in sys.path:
+        sys.path.insert(0, str(REPO))
+    from tests.test_golden_outputs import as_json, load_golden
+
+    return as_json(result) == load_golden(name)[key]
 
 
 def emit(title: str, headers, rows) -> None:

@@ -1,14 +1,13 @@
-"""Perf harness — array-native flow loops vs their scalar oracles.
+"""Perf harness — the array-native flow loops and the base-delay grid.
 
-Closes out the measured Python-loop hot paths: the three greedy flows
-that historically assembled a ``TimingResult`` dict per trial now drive
-their loops through :class:`~repro.sta.compiled.TimingSurface` and the
-incremental timer, and the per-``(supply_drop, temperature)`` base-delay
-compile is vectorized over the gate axis.  Four measurements, every one
-asserting bit-identical results in-run:
+The three greedy flows drive their loops through
+:class:`~repro.sta.compiled.TimingSurface` and the incremental timer,
+and the per-``(supply_drop, temperature)`` base-delay compile is
+vectorized over the gate axis.  Four measurements, every one checking
+its result in-run:
 
-* **Dual-Vth assignment** — ``assign_dual_vth`` compiled vs scalar on a
-  shared pre-primed context (aging-model work excluded from both).
+* **Dual-Vth assignment** — ``assign_dual_vth`` on a pre-primed context
+  (aging-model work excluded).
 * **Aging-driven sizing** — ``size_for_aging`` likewise.
 * **Control-point search** — ``greedy_control_points`` end to end; each
   round re-derives a context for the mutated circuit variant, so this
@@ -17,10 +16,15 @@ asserting bit-identical results in-run:
   compile over a RAS-drop x temperature grid against the retained
   serial ``cell.delay`` oracle, ``np.array_equal`` per grid point.
 
-Default configuration is the acceptance-criterion run (c880 flows with
->= 3x bars, c7552 grid with >= 5x).  Set ``BENCH_SMOKE=1`` for a
-seconds-scale CI smoke run (c432, speedup merely > 0.5x) that still
-exercises the whole harness and emits ``BENCH_hotpaths.json``.
+Each flow has one code path, so the three flow rows report absolute
+``seconds`` and check their result against the golden fixture of the
+same flow and arguments (``tests/golden/flow_*.json`` and
+``perf_flows.json``).  The grid row keeps its speedup bar.
+
+Default configuration is the acceptance-criterion run (c880 flows,
+c7552 grid with >= 5x).  Set ``BENCH_SMOKE=1`` for a seconds-scale CI
+smoke run (c432, grid speedup merely > 1x) that still exercises the
+whole harness and emits ``BENCH_hotpaths.json``.
 """
 
 import json
@@ -30,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from _common import emit, record_history
+from _common import emit, golden_match, record_history
 from repro import AnalysisContext
 from repro.constants import TEN_YEARS
 from repro.core import OperatingProfile
@@ -42,9 +46,6 @@ from repro.sta.compiled import CompiledTiming
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 FLOW_CIRCUIT = "c432" if SMOKE else "c880"
-MIN_SPEEDUP_DUAL_VTH = 0.5 if SMOKE else 8.0
-MIN_SPEEDUP_SIZING = 0.5 if SMOKE else 3.0
-MIN_SPEEDUP_CONTROL = 0.5 if SMOKE else 3.0
 CONTROL_POINTS = 4 if SMOKE else 6
 GRID_CIRCUIT = "c432" if SMOKE else "c7552"
 MIN_SPEEDUP_GRID = 1.0 if SMOKE else 5.0
@@ -54,6 +55,7 @@ GRID_DROPS = (0.0, 0.02, 0.04, 0.06)
 GRID_TEMPS = (300.0, 330.0, 370.0, 400.0)
 PROFILE = OperatingProfile.from_ras("1:9", t_standby=330.0)
 ARTIFACT = Path(__file__).with_name("BENCH_hotpaths.json")
+FLOWS = ("dual_vth", "sizing", "control_points")
 
 
 def _timed(fn):
@@ -62,65 +64,54 @@ def _timed(fn):
     return time.perf_counter() - start, result
 
 
-def run_perf_dual_vth():
-    """High-Vth swap loop: surface/incremental trials vs scalar STA."""
-    circuit = iscas85.load(FLOW_CIRCUIT)
+def _primed_context(circuit):
     ctx = AnalysisContext(circuit)
     ctx.gate_shifts(PROFILE, TEN_YEARS)  # prime: exclude model work
-    t_fast, fast = _timed(
-        lambda: assign_dual_vth(circuit, context=ctx, engine="compiled"))
-    t_slow, slow = _timed(
-        lambda: assign_dual_vth(circuit, context=ctx, engine="scalar"))
+    return ctx
+
+
+def run_perf_dual_vth():
+    """High-Vth swap loop: surface/incremental trials."""
+    circuit = iscas85.load(FLOW_CIRCUIT)
+    ctx = _primed_context(circuit)
+    seconds, result = _timed(lambda: assign_dual_vth(circuit, context=ctx))
     return {
         "circuit": FLOW_CIRCUIT,
         "n_gates": circuit.n_gates(),
-        "scalar_seconds": t_slow,
-        "compiled_seconds": t_fast,
-        "speedup": t_slow / t_fast,
-        "identical": fast == slow,
+        "seconds": seconds,
+        "identical": golden_match("flow_assign_dual_vth", FLOW_CIRCUIT,
+                                  result),
     }
 
 
 def run_perf_sizing():
-    """Greedy aging-driven sizing: incremental cone vs full re-walk."""
+    """Greedy aging-driven sizing: incremental cone re-timing."""
     circuit = iscas85.load(FLOW_CIRCUIT)
-    ctx = AnalysisContext(circuit)
-    ctx.gate_shifts(PROFILE, TEN_YEARS)
-    t_fast, fast = _timed(
-        lambda: size_for_aging(circuit, PROFILE, context=ctx,
-                               engine="compiled"))
-    t_slow, slow = _timed(
-        lambda: size_for_aging(circuit, PROFILE, context=ctx,
-                               engine="scalar"))
+    ctx = _primed_context(circuit)
+    seconds, result = _timed(
+        lambda: size_for_aging(circuit, PROFILE, context=ctx))
     return {
         "circuit": FLOW_CIRCUIT,
         "n_gates": circuit.n_gates(),
-        "scalar_seconds": t_slow,
-        "compiled_seconds": t_fast,
-        "speedup": t_slow / t_fast,
-        "identical": fast == slow,
+        "seconds": seconds,
+        "identical": golden_match("flow_size_for_aging", FLOW_CIRCUIT,
+                                  result),
     }
 
 
 def run_perf_control_points():
-    """Greedy control-point search, whole loop, both engines."""
+    """Greedy control-point search, whole loop."""
     circuit = iscas85.load(FLOW_CIRCUIT)
-    t_fast, fast = _timed(
+    seconds, result = _timed(
         lambda: greedy_control_points(circuit, PROFILE, TEN_YEARS,
-                                      max_points=CONTROL_POINTS,
-                                      engine="compiled"))
-    t_slow, slow = _timed(
-        lambda: greedy_control_points(circuit, PROFILE, TEN_YEARS,
-                                      max_points=CONTROL_POINTS,
-                                      engine="scalar"))
+                                      max_points=CONTROL_POINTS))
+    key = f"control_points[{FLOW_CIRCUIT},max_points={CONTROL_POINTS}]"
     return {
         "circuit": FLOW_CIRCUIT,
         "max_points": CONTROL_POINTS,
-        "controlled": len(fast.controlled),
-        "scalar_seconds": t_slow,
-        "compiled_seconds": t_fast,
-        "speedup": t_slow / t_fast,
-        "identical": fast == slow,
+        "controlled": len(result.controlled),
+        "seconds": seconds,
+        "identical": golden_match("perf_flows", key, result),
     }
 
 
@@ -161,39 +152,33 @@ def run_perf_hotpaths():
     }
 
 
-BARS = {
-    "dual_vth": MIN_SPEEDUP_DUAL_VTH,
-    "sizing": MIN_SPEEDUP_SIZING,
-    "control_points": MIN_SPEEDUP_CONTROL,
-    "base_delay_grid": MIN_SPEEDUP_GRID,
-}
-
-
 def check(row):
-    for name, bar in BARS.items():
-        r = row[name]
-        assert r["identical"], f"{name}: compiled diverged from scalar"
-        assert r["speedup"] >= bar, (
-            f"{name} only {r['speedup']:.1f}x faster (bar: {bar:.1f}x)")
+    for name in FLOWS:
+        assert row[name]["identical"], \
+            f"{name}: result differs from its golden fixture"
+    grid = row["base_delay_grid"]
+    assert grid["identical"], "base_delay_grid: diverged from the oracle"
+    assert grid["speedup"] >= MIN_SPEEDUP_GRID, (
+        f"base_delay_grid only {grid['speedup']:.1f}x faster "
+        f"(bar: {MIN_SPEEDUP_GRID:.1f}x)")
 
 
 def report(row):
-    fast_key = {"base_delay_grid": "vectorized_seconds"}
-    rows = []
-    for name, bar in BARS.items():
-        r = row[name]
-        fast = r.get(fast_key.get(name, "compiled_seconds"))
-        rows.append([name, r["circuit"], f"{r['scalar_seconds']:.3f}",
-                     f"{fast:.3f}", f"{r['speedup']:.1f}x",
-                     f"{bar:.1f}x", str(r["identical"])])
-    emit("Array-native hot paths — scalar oracle vs compiled loop",
-         ["loop", "circuit", "scalar (s)", "compiled (s)", "speedup",
-          "bar", "identical"], rows)
+    rows = [[name, row[name]["circuit"], f"{row[name]['seconds']:.3f}",
+             "-", "-", "-", str(row[name]["identical"])] for name in FLOWS]
+    grid = row["base_delay_grid"]
+    rows.append(["base_delay_grid", grid["circuit"],
+                 f"{grid['vectorized_seconds']:.3f}",
+                 f"{grid['scalar_seconds']:.3f}", f"{grid['speedup']:.1f}x",
+                 f"{MIN_SPEEDUP_GRID:.1f}x", str(grid["identical"])])
+    emit("Array-native hot paths",
+         ["loop", "circuit", "seconds", "oracle (s)", "speedup", "bar",
+          "identical"], rows)
     ARTIFACT.write_text(json.dumps(row, indent=2) + "\n")
     print(f"wrote {ARTIFACT}")
-    dv = row["dual_vth"]
-    record_history("perf_hotpaths", wall_seconds=dv["compiled_seconds"],
-                   speedup=dv["speedup"], smoke=row["smoke"])
+    record_history("perf_hotpaths", wall_seconds=row["dual_vth"]["seconds"],
+                   smoke=row["smoke"],
+                   extra={"base_delay_grid_speedup": grid["speedup"]})
 
 
 def test_perf_hotpaths(run_once):

@@ -5,8 +5,8 @@ tracer installed, every ``obs.span`` / ``obs.count`` / ``obs.observe``
 call is one global read plus an identity check.  This harness pins that
 contract against the repo's headline aging benchmark:
 
-* **Headline run** — ``statistical_aging`` with the compiled engine
-  (the ``test_perf_aging.py`` acceptance case), tracing disabled,
+* **Headline run** — ``statistical_aging`` (the ``test_perf_aging.py``
+  acceptance case), tracing disabled,
   timed as ``T_off``.
 * **Event census** — the same workload under a real tracer/registry,
   counting every instrumentation event it emits (spans opened, counter
@@ -53,11 +53,11 @@ ARTIFACT = Path(__file__).with_name("BENCH_obs.json")
 
 
 def _headline(context):
-    """One compiled-engine statistical-aging run (the headline case)."""
+    """One statistical-aging run (the headline case)."""
     return statistical_aging(context.circuit, PROFILE, times=TIMES,
                              n_samples=N_SAMPLES,
                              variation=VariationModel(sigma_local=0.015),
-                             seed=12, context=context, engine="compiled")
+                             seed=12, context=context)
 
 
 def _primed_context():

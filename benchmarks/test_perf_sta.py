@@ -1,20 +1,16 @@
 """Perf harness — compiled STA kernel vs the scalar oracle.
 
-Two measurements, both asserting bit-identical results in-run:
-
-* **Batched Monte-Carlo** (the Fig. 12 shape): per-die aged circuit
-  delays for a ``(gates, samples)`` ΔVth matrix, timed as one batched
-  ``CompiledTiming.delays_batch`` call (matrix assembly included)
-  against the historic one-STA-per-die scalar loop.
-* **Incremental sizing** (the Sec. 4.2 loop): ``size_for_aging`` with
-  ``engine="compiled"`` (fanout-cone re-timing per trial) against
-  ``engine="scalar"`` (full forward pass per trial), on a shared
-  pre-primed context so the aging-model work is excluded from both.
+**Batched Monte-Carlo** (the Fig. 12 shape): per-die aged circuit
+delays for a ``(gates, samples)`` ΔVth matrix, timed as one batched
+``CompiledTiming.delays_batch`` call (matrix assembly included) against
+the per-die Python arrival walk ``CompiledTiming._delay_oracle``, and
+asserted bit-identical in-run.  (The incremental sizing loop is timed
+by ``test_perf_hotpaths.py``.)
 
 Default configuration is the acceptance-criterion run (c7552 with 200
-Monte-Carlo dies, >= 5x; c880 sizing, >= 2x).  Set ``BENCH_SMOKE=1``
-for a seconds-scale CI smoke run (c432, 32 dies, speedup merely > 0.5x)
-that still exercises the whole harness and emits ``BENCH_sta.json``.
+Monte-Carlo dies, >= 5x).  Set ``BENCH_SMOKE=1`` for a seconds-scale CI
+smoke run (c432, 32 dies, speedup merely > 0.5x) that still exercises
+the whole harness and emits ``BENCH_sta.json``.
 """
 
 import json
@@ -28,32 +24,27 @@ from _common import emit, record_history
 from repro import AnalysisContext
 from repro.constants import TEN_YEARS
 from repro.core import OperatingProfile
-from repro.flow.sizing import size_for_aging
 from repro.netlist import iscas85
-from repro.variation.statistical import FastAgedTimer
 
 SMOKE = os.environ.get("BENCH_SMOKE", "") not in ("", "0")
 MC_CIRCUIT = "c432" if SMOKE else "c7552"
 MC_SAMPLES = 32 if SMOKE else 200
 MIN_SPEEDUP_MC = 0.5 if SMOKE else 5.0
-SIZING_CIRCUIT = "c432" if SMOKE else "c880"
-MIN_SPEEDUP_SIZING = 0.5 if SMOKE else 2.0
 PROFILE = OperatingProfile.from_ras("1:9", t_standby=330.0)
 ARTIFACT = Path(__file__).with_name("BENCH_sta.json")
 
 
 def run_perf_mc():
-    """Per-die delays of a Monte-Carlo ΔVth population, both engines."""
+    """Per-die delays of a Monte-Carlo ΔVth population: batch vs oracle."""
     circuit = iscas85.load(MC_CIRCUIT)
     ctx = AnalysisContext(circuit)
     compiled = ctx.compiled_timing()
-    scalar_timer = FastAgedTimer(circuit, engine="scalar")
 
     # Per-die ΔVth: the nominal 10-year shift modulated per die/gate,
     # the shape statistical_aging feeds the timer at each Fig. 12 point.
-    # The compiled engine assembles its (gates, dies) matrix with
-    # vectorized ops (as statistical_aging does); the scalar loop takes
-    # the same population as per-die dicts, bit-identical entry-wise.
+    # The batch assembles its (gates, dies) matrix with vectorized ops
+    # (as statistical_aging does); the oracle takes the same population
+    # as per-die dicts, bit-identical entry-wise.
     nominal = ctx.gate_shifts(PROFILE, TEN_YEARS)
     names = compiled.gate_names
     nominal_vec = np.array([nominal[g] for g in names])
@@ -63,7 +54,7 @@ def run_perf_mc():
              for i, g in enumerate(names)} for k in range(MC_SAMPLES)]
 
     compiled.base_delays()  # warm the shared fresh-delay cache
-    scalar_timer.circuit_delay(delta_vth=dies[0])
+    compiled._delay_oracle(delta_vth=dies[0])
 
     start = time.perf_counter()
     matrix = nominal_vec[:, None] * spread
@@ -71,7 +62,7 @@ def run_perf_mc():
     t_batched = time.perf_counter() - start
 
     start = time.perf_counter()
-    looped = np.array([scalar_timer.circuit_delay(delta_vth=die)
+    looped = np.array([compiled._delay_oracle(delta_vth=die)
                        for die in dies])
     t_scalar = time.perf_counter() - start
 
@@ -87,77 +78,34 @@ def run_perf_mc():
     }
 
 
-def run_perf_sizing():
-    """Greedy aging-driven sizing, incremental-cone vs full re-walk."""
-    circuit = iscas85.load(SIZING_CIRCUIT)
-    ctx = AnalysisContext(circuit)
-    ctx.gate_shifts(PROFILE, TEN_YEARS)  # prime: exclude model work
-
-    start = time.perf_counter()
-    fast = size_for_aging(circuit, PROFILE, context=ctx, engine="compiled")
-    t_fast = time.perf_counter() - start
-
-    start = time.perf_counter()
-    slow = size_for_aging(circuit, PROFILE, context=ctx, engine="scalar")
-    t_slow = time.perf_counter() - start
-
-    return {
-        "circuit": SIZING_CIRCUIT,
-        "n_gates": circuit.n_gates(),
-        "scalar_seconds": t_slow,
-        "incremental_seconds": t_fast,
-        "speedup": t_slow / t_fast,
-        "resized_gates": len(fast.sizes),
-        "identical": (fast.sizes == slow.sizes
-                      and fast.achieved_delay == slow.achieved_delay
-                      and fast.area_factor == slow.area_factor
-                      and fast.met == slow.met),
-    }
-
-
 def run_perf_sta():
-    return {"smoke": SMOKE, "monte_carlo": run_perf_mc(),
-            "sizing": run_perf_sizing()}
+    return {"smoke": SMOKE, "monte_carlo": run_perf_mc()}
 
 
 def check(row):
-    mc, sz = row["monte_carlo"], row["sizing"]
+    mc = row["monte_carlo"]
     assert mc["identical"], \
-        "batched kernel diverged from the scalar per-die loop"
-    assert sz["identical"], \
-        "incremental sizing diverged from the scalar engine"
+        "batched kernel diverged from the per-die oracle"
     assert mc["speedup"] >= MIN_SPEEDUP_MC, (
         f"batched MC only {mc['speedup']:.1f}x faster "
         f"(bar: {MIN_SPEEDUP_MC:.1f}x)")
-    assert sz["speedup"] >= MIN_SPEEDUP_SIZING, (
-        f"incremental sizing only {sz['speedup']:.1f}x faster "
-        f"(bar: {MIN_SPEEDUP_SIZING:.1f}x)")
 
 
 def report(row):
-    mc, sz = row["monte_carlo"], row["sizing"]
+    mc = row["monte_carlo"]
     emit(f"Monte-Carlo aged STA — {mc['circuit']}, "
          f"{mc['n_samples']} dies",
          ["engine", "wall (s)", "STAs/s"],
-         [["scalar loop", f"{mc['scalar_seconds']:.3f}",
+         [["per-die oracle", f"{mc['scalar_seconds']:.3f}",
            f"{mc['scalar_stas_per_second']:,.0f}"],
           ["batched kernel", f"{mc['batched_seconds']:.3f}",
            f"{mc['batched_stas_per_second']:,.0f}"]])
     print(f"MC speedup: {mc['speedup']:.1f}x (bar: {MIN_SPEEDUP_MC:.1f}x), "
           f"bit-identical: {mc['identical']}")
-    emit(f"Aging-driven sizing — {sz['circuit']}, "
-         f"{sz['n_gates']} gates",
-         ["engine", "wall (s)"],
-         [["scalar re-walk", f"{sz['scalar_seconds']:.3f}"],
-          ["incremental cone", f"{sz['incremental_seconds']:.3f}"]])
-    print(f"sizing speedup: {sz['speedup']:.1f}x "
-          f"(bar: {MIN_SPEEDUP_SIZING:.1f}x), identical result: "
-          f"{sz['identical']}")
     ARTIFACT.write_text(json.dumps(row, indent=2) + "\n")
     print(f"wrote {ARTIFACT}")
     record_history("perf_sta", wall_seconds=mc["batched_seconds"],
-                   speedup=mc["speedup"], smoke=row["smoke"],
-                   extra={"sizing_speedup": sz["speedup"]})
+                   speedup=mc["speedup"], smoke=row["smoke"])
 
 
 def test_perf_sta(run_once):

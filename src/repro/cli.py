@@ -50,12 +50,17 @@ from repro.core import (
     guard_band,
 )
 from repro.flow.report import format_table, mv, ns, pct, ua
-from repro.netlist import iscas85, load_bench, load_packaged
-from repro.netlist.circuit import Circuit
+from repro.netlist import (BenchParseError, iscas85, load_bench,
+                           load_packaged)
+from repro.netlist.circuit import Circuit, CircuitError
 
 
 def resolve_circuit(name: str) -> Circuit:
-    """Map a CLI circuit argument onto a loaded netlist."""
+    """Map a CLI circuit argument onto a loaded netlist.
+
+    An unknown name or a malformed ``.bench`` file exits with a one-line
+    ``error:`` message instead of a traceback.
+    """
     if name in iscas85.SPECS:
         return iscas85.load(name)
     try:
@@ -64,7 +69,10 @@ def resolve_circuit(name: str) -> Circuit:
         pass
     path = Path(name)
     if path.exists():
-        return load_bench(path)
+        try:
+            return load_bench(path)
+        except (BenchParseError, CircuitError) as exc:
+            raise SystemExit(f"error: {name}: {exc}") from None
     known = ", ".join(list(iscas85.NAMES) + ["c17"])
     raise SystemExit(f"error: unknown circuit {name!r} "
                      f"(known benchmarks: {known}; or pass a .bench path)")
@@ -82,8 +90,16 @@ def _add_profile_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _profile_from(args) -> OperatingProfile:
-    return OperatingProfile.from_ras(args.ras, t_active=args.t_active,
-                                     t_standby=args.t_standby)
+    """The operating profile of the profile flags; an invalid profile or
+    a negative ``--years`` exits with a one-line ``error:`` message."""
+    if args.years < 0:
+        raise SystemExit(f"error: --years must be non-negative, "
+                         f"got {args.years:g}")
+    try:
+        return OperatingProfile.from_ras(args.ras, t_active=args.t_active,
+                                         t_standby=args.t_standby)
+    except ValueError as exc:
+        raise SystemExit(f"error: invalid operating profile: {exc}") from None
 
 
 def _engine_lines() -> List[str]:

@@ -25,9 +25,8 @@ from repro.core.aging import DEFAULT_MODEL, NbtiModel
 from repro.core.profiles import OperatingProfile
 from repro.netlist.circuit import Circuit
 from repro.sim.logic import default_library
-from repro.sta.analysis import analyze
+from repro.sta.compiled import compiled_timing_for
 from repro.sta.degradation import ALL_ZERO, AgingAnalyzer
-from repro.variation.statistical import FastAgedTimer
 
 
 @dataclass(frozen=True)
@@ -91,13 +90,13 @@ def assign_dual_vth(circuit: Circuit, *, delta_vth_hvt: float = 0.10,
                     lifetime: float = TEN_YEARS,
                     model: NbtiModel = DEFAULT_MODEL,
                     library: Optional[Library] = None,
-                    context=None,
-                    engine: str = "compiled") -> DualVthResult:
+                    context=None) -> DualVthResult:
     """Greedy slack-driven dual-Vth assignment + joint evaluation.
 
     Gates are visited in decreasing slack order; each is swapped to HVT
     if the circuit still meets ``fresh_delay_lvt * (1 + timing_budget)``
-    afterwards (checked with the fast incremental timer).
+    afterwards, checked by re-timing only the swapped gate's fanout
+    cone.
 
     Args:
         delta_vth_hvt: HVT offset above nominal Vth (the PTM90_HVT
@@ -108,14 +107,7 @@ def assign_dual_vth(circuit: Circuit, *, delta_vth_hvt: float = 0.10,
         context: shared :class:`~repro.context.AnalysisContext`; the
             base STA, gate loads, stress duties, and the compiled
             kernel come from its memo.
-        engine: ``"compiled"`` (default) checks each HVT swap trial by
-            re-timing only the swapped gate's fanout cone;
-            ``"scalar"`` re-runs the full Python arrival walk per
-            trial.  Both take identical swap decisions.
     """
-    if engine not in ("compiled", "scalar"):
-        raise ValueError(f"engine must be 'compiled' or 'scalar', "
-                         f"got {engine!r}")
     if context is not None and library is None:
         library = context.library
     library = library or default_library()
@@ -124,50 +116,33 @@ def assign_dual_vth(circuit: Circuit, *, delta_vth_hvt: float = 0.10,
         context = None
     profile = profile or OperatingProfile.from_ras("1:9", t_standby=330.0)
     factor = hvt_delay_factor(delta_vth_hvt, library)
-    timer = FastAgedTimer(circuit, library, context=context, engine=engine)
+    ct = compiled_timing_for(circuit, library, context)
     factors: Dict[str, float] = {}
     hvt: Set[str] = set()
-    if engine == "compiled":
-        # Array-native base STA: the fresh delay and the per-gate slack
-        # ordering come off the timing surface (no TimingResult dict
-        # assembly), and each HVT swap trial re-times only the swapped
-        # gate's fanout cone (the factor has no load coupling).
-        ct = timer.compiled
-        surf = ct.surface()
-        fresh_lvt = surf.circuit_delay
-        budget_delay = fresh_lvt * (1.0 + timing_budget)
-        gate_slack = surf.gate_slacks()
-        gate_index = ct.gate_index
-        order = sorted(circuit.gates,
-                       key=lambda g: gate_slack[gate_index[g]], reverse=True)
-        base_d = ct.base_delays()
-        inc = ct.incremental(delays=base_d)
-        for gate in order:
-            if gate_slack[gate_index[gate]] <= 0:
-                continue
-            i = gate_index[gate]
-            changes = {gate: (float(base_d[2 * i] * factor),
-                              float(base_d[2 * i + 1] * factor))}
-            if inc.trial(changes) <= budget_delay:
-                hvt.add(gate)
-                factors[gate] = factor
-                inc.update(changes)
-        fresh_dual = inc.circuit_delay
-    else:
-        base = analyze(circuit, library, context=context, engine="scalar")
-        fresh_lvt = base.circuit_delay
-        budget_delay = fresh_lvt * (1.0 + timing_budget)
-        order = sorted(circuit.gates, key=lambda g: base.slack[g],
-                       reverse=True)
-        for gate in order:
-            if base.slack[gate] <= 0:
-                continue
+    # Array-native base STA: the fresh delay and the per-gate slack
+    # ordering come off the timing surface (no TimingResult dict
+    # assembly), and each HVT swap trial re-times only the swapped
+    # gate's fanout cone (the factor has no load coupling).
+    surf = ct.surface()
+    fresh_lvt = surf.circuit_delay
+    budget_delay = fresh_lvt * (1.0 + timing_budget)
+    gate_slack = surf.gate_slacks()
+    gate_index = ct.gate_index
+    order = sorted(circuit.gates,
+                   key=lambda g: gate_slack[gate_index[g]], reverse=True)
+    base_d = ct.base_delays()
+    inc = ct.incremental(delays=base_d)
+    for gate in order:
+        if gate_slack[gate_index[gate]] <= 0:
+            continue
+        i = gate_index[gate]
+        changes = {gate: (float(base_d[2 * i] * factor),
+                          float(base_d[2 * i + 1] * factor))}
+        if inc.trial(changes) <= budget_delay:
+            hvt.add(gate)
             factors[gate] = factor
-            if timer.circuit_delay(delay_factors=factors) <= budget_delay:
-                hvt.add(gate)
-            else:
-                del factors[gate]
-        fresh_dual = timer.circuit_delay(delay_factors=factors)
+            inc.update(changes)
+    fresh_dual = inc.circuit_delay
 
     # Aging comparison at the lifetime horizon (worst-case standby).
     analyzer = (context.analyzer
@@ -175,7 +150,7 @@ def assign_dual_vth(circuit: Circuit, *, delta_vth_hvt: float = 0.10,
                 else AgingAnalyzer(library=library, model=model))
     shifts_lvt = analyzer.gate_shifts(circuit, profile, lifetime,
                                       standby=ALL_ZERO, context=context,
-                                      engine=engine)
+                                      engine="compiled")
     vth0 = library.tech.pmos.vth0
     calibration = model.calibration
     if context is not None and context.model == model:
@@ -188,9 +163,8 @@ def assign_dual_vth(circuit: Circuit, *, delta_vth_hvt: float = 0.10,
                      / calibration.field_factor(vth0))
     shifts_dual = {g: dv * (hvt_scale if g in hvt else 1.0)
                    for g, dv in shifts_lvt.items()}
-    aged_lvt = timer.circuit_delay(delta_vth=shifts_lvt)
-    aged_dual = timer.circuit_delay(delta_vth=shifts_dual,
-                                    delay_factors=factors)
+    aged_lvt = ct.delay(shifts_lvt)
+    aged_dual = ct.delay(shifts_dual, factors)
 
     leak_ratio = hvt_leakage_factor(delta_vth_hvt, library=library)
     n = circuit.n_gates()

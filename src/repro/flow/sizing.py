@@ -26,6 +26,7 @@ from repro.core.profiles import OperatingProfile
 from repro.netlist.circuit import Circuit
 from repro.sim.logic import default_library
 from repro.sta.analysis import _EDGES, _input_edges_for, PO_CAP, WIRE_CAP
+from repro.sta.compiled import compiled_timing_for
 from repro.sta.degradation import ALL_ZERO, AgingAnalyzer, StandbyStates
 
 
@@ -88,9 +89,9 @@ class SizingTimer:
                     delta_vth: Dict[str, float]) -> Tuple[float, float]:
         """(rise, fall) delay of one gate under sizes + aging.
 
-        The exact expression of the full forward pass — the compiled
-        incremental engine rebuilds per-gate delays through this method
-        so both engines stay bit-identical.
+        The exact expression of the full forward pass — the
+        incremental sizing state rebuilds per-gate delays through this
+        method, so it stays bit-identical to :meth:`circuit_delay`.
         """
         s = sizes.get(name, 1.0)
         aging = 1.0 + self._slope * delta_vth.get(name, 0.0)
@@ -103,7 +104,11 @@ class SizingTimer:
     def circuit_delay(self, sizes: Optional[Dict[str, float]] = None,
                       delta_vth: Optional[Dict[str, float]] = None
                       ) -> Tuple[float, List[str]]:
-        """(delay, critical gate names) under sizes + aging."""
+        """(delay, critical gate names) under sizes + aging.
+
+        One full Python forward pass: the oracle the incremental sizing
+        state is tested against.
+        """
         sizes = sizes or {}
         delta_vth = delta_vth or {}
         circuit = self.circuit
@@ -207,8 +212,8 @@ def _sizing_delay_vector(timer: SizingTimer, compiled,
                          sizes: Dict[str, float],
                          delta_vth: Dict[str, float]):
     """The ``(2G,)`` per-gate-edge delay vector of one sizing scenario,
-    built through :meth:`SizingTimer.delay_edges` so the compiled and
-    scalar engines price every gate identically."""
+    built through :meth:`SizingTimer.delay_edges` so the kernel and the
+    scalar forward pass price every gate identically."""
     import numpy as np
 
     delays = np.empty(2 * compiled.n_gates, dtype=np.float64)
@@ -219,7 +224,7 @@ def _sizing_delay_vector(timer: SizingTimer, compiled,
 
 
 class _CompiledSizingState:
-    """Incremental cone-retiming state for the compiled sizing engine.
+    """Incremental cone-retiming state of :func:`size_for_aging`.
 
     Resizing one gate changes exactly its own delay (the ``load / s``
     term) and the delay of every *gate* driving one of its input nets
@@ -319,9 +324,11 @@ def size_for_aging(circuit: Circuit, profile: OperatingProfile,
                    max_area_factor: float = 2.0,
                    library: Optional[Library] = None,
                    analyzer: Optional[AgingAnalyzer] = None,
-                   context=None,
-                   engine: str = "compiled") -> SizingResult:
+                   context=None) -> SizingResult:
     """Greedy sizing until the *aged* circuit meets the fresh target.
+
+    Each trial re-times only the resized gate's fanout cone through the
+    incremental STA kernel.
 
     Args:
         slack_target: extra margin below the fresh delay (0 sizes the
@@ -332,40 +339,21 @@ def size_for_aging(circuit: Circuit, profile: OperatingProfile,
         context: shared :class:`~repro.context.AnalysisContext`; the
             aging shifts (probability propagation + stress duties) come
             from its memo, the load-aware sizing timer stays local.
-        engine: ``"compiled"`` (default) re-times only the resized
-            gate's fanout cone per trial through the incremental STA
-            kernel; ``"scalar"`` runs a full Python forward pass per
-            trial.  Both take the identical move sequence and return
-            bit-identical results.
 
     The aging shifts are held fixed during sizing (sizing changes
     loads, not stress states), which matches [22]'s formulation.
     """
-    if engine not in ("compiled", "scalar"):
-        raise ValueError(f"engine must be 'compiled' or 'scalar', "
-                         f"got {engine!r}")
     library = library or (context.library if context is not None
                           else default_library())
     analyzer = analyzer or AgingAnalyzer(library=library)
     timer = SizingTimer(circuit, library)
-    compiled = None
-    if engine == "compiled":
-        if (context is not None and context.circuit is circuit
-                and context.library is library):
-            compiled = context.compiled_timing()
-        else:
-            from repro.sta.compiled import CompiledTiming
-
-            compiled = CompiledTiming(circuit, library)
-        # Fresh spec off the timing surface: the sizing delay model's
-        # forward walk floors every arrival max at 0.0, exactly the
-        # propagate/reduceat semantics, so this is bit-identical to the
-        # scalar engine's full Python walk.
-        fresh_delay = compiled.surface(
-            delays=_sizing_delay_vector(timer, compiled, {}, {})
-        ).circuit_delay
-    else:
-        fresh_delay, _ = timer.circuit_delay()
+    compiled = compiled_timing_for(circuit, library, context)
+    # Fresh spec off the timing surface: the sizing delay model's forward
+    # walk floors every arrival max at 0.0, exactly the propagate/reduceat
+    # semantics, so this equals SizingTimer.circuit_delay() bit for bit.
+    fresh_delay = compiled.surface(
+        delays=_sizing_delay_vector(timer, compiled, {}, {})
+    ).circuit_delay
     target = fresh_delay * (1.0 - slack_target)
     if target <= 0:
         raise ValueError("slack_target leaves no positive delay budget")
@@ -380,12 +368,8 @@ def size_for_aging(circuit: Circuit, profile: OperatingProfile,
     # penalty beats the self-speedup until the size jump is large
     # enough), so each candidate tries a menu of step factors.
     steps = sorted({step, step ** 2, 2.0})
-    state: Optional[_CompiledSizingState] = None
-    if engine == "compiled":
-        state = _CompiledSizingState(timer, compiled, sizes, shifts)
-        delay, critical = state.evaluate()
-    else:
-        delay, critical = timer.circuit_delay(sizes, shifts)
+    state = _CompiledSizingState(timer, compiled, sizes, shifts)
+    delay, critical = state.evaluate()
     while delay > target and area < max_area:
         best_gain = 0.0
         best_move = None  # (gate, new_size, new_delay)
@@ -395,10 +379,7 @@ def size_for_aging(circuit: Circuit, profile: OperatingProfile,
                 if current * factor > max_size:
                     continue
                 sizes[gate] = current * factor
-                if state is not None:
-                    new_delay = state.trial(gate, sizes)
-                else:
-                    new_delay, _ = timer.circuit_delay(sizes, shifts)
+                new_delay = state.trial(gate, sizes)
                 # Restore the trial (unsized gates keep no entry).
                 if current == 1.0:
                     del sizes[gate]
@@ -412,11 +393,7 @@ def size_for_aging(circuit: Circuit, profile: OperatingProfile,
             # Path-swarm fallback: balanced circuits carry many exactly
             # tied critical paths, so no single-gate move can reduce the
             # max.  Upsize the whole zero-slack cone one step.
-            if state is not None:
-                full_cone = state.critical_cone()
-            else:
-                full_cone = timer.critical_cone(sizes, shifts)
-            cone = [g for g in full_cone
+            cone = [g for g in state.critical_cone()
                     if sizes.get(g, 1.0) * step <= max_size]
             if not cone:
                 break
@@ -424,10 +401,7 @@ def size_for_aging(circuit: Circuit, profile: OperatingProfile,
                 prev = sizes.get(gate, 1.0)
                 area += prev * (step - 1.0)
                 sizes[gate] = prev * step
-            if state is not None:
-                new_delay, critical = state.commit(cone, sizes)
-            else:
-                new_delay, critical = timer.circuit_delay(sizes, shifts)
+            new_delay, critical = state.commit(cone, sizes)
             if new_delay >= delay * (1 - 1e-9):
                 # The swarm move did not help either: give up honestly.
                 delay = new_delay
@@ -437,10 +411,7 @@ def size_for_aging(circuit: Circuit, profile: OperatingProfile,
         gate, new_size, _ = best_move
         area += new_size - sizes.get(gate, 1.0)
         sizes[gate] = new_size
-        if state is not None:
-            delay, critical = state.commit([gate], sizes)
-        else:
-            delay, critical = timer.circuit_delay(sizes, shifts)
+        delay, critical = state.commit([gate], sizes)
     return SizingResult(
         circuit_name=circuit.name,
         sizes=dict(sizes),

@@ -33,7 +33,6 @@ from repro.context import AnalysisContext
 from repro.core.profiles import OperatingProfile
 from repro.netlist.circuit import Circuit, Gate
 from repro.sim.logic import default_library
-from repro.sta.analysis import analyze, gate_loads
 from repro.sta.degradation import AgingAnalyzer
 
 
@@ -249,12 +248,11 @@ class ControlPointResult:
 class _AgedEval:
     """One circuit variant's fresh + aged evaluation for the greedy loop.
 
-    The compiled engine fills this straight off two
-    :class:`~repro.sta.compiled.TimingSurface` passes (no
-    ``TimingResult`` dict assembly); the scalar oracle fills it from
-    full Python STA.  ``relative_degradation`` mirrors
+    Filled straight off two :class:`~repro.sta.compiled.TimingSurface`
+    passes (no ``TimingResult`` dict assembly).  ``relative_degradation``
+    mirrors
     :attr:`~repro.sta.degradation.AgedTimingResult.relative_degradation`
-    operation-for-operation so both engines return identical floats.
+    operation-for-operation, so it returns the same float.
     """
 
     fresh_delay: float
@@ -272,8 +270,7 @@ def greedy_control_points(circuit: Circuit, profile: OperatingProfile,
                           max_points: int = 10,
                           standby_vector: Optional[Dict[str, int]] = None,
                           analyzer: Optional[AgingAnalyzer] = None,
-                          sleep_net: str = "SLEEP",
-                          engine: str = "compiled") -> ControlPointResult:
+                          sleep_net: str = "SLEEP") -> ControlPointResult:
     """Greedy insertion targeting the aged critical path.
 
     The baseline parks the circuit at a *realizable* standby vector
@@ -285,18 +282,11 @@ def greedy_control_points(circuit: Circuit, profile: OperatingProfile,
     stressed critical gate remains.  The ALL-PMOS-at-1 Table 4 bound is
     reported alongside as the ceiling.
 
-    Args:
-        engine: ``"compiled"`` (default) evaluates each circuit variant
-            through one shared compiled lowering — shifts from the
-            vectorized gate-shift kernel, fresh and aged delays plus the
-            aged critical path off a
-            :class:`~repro.sta.compiled.TimingSurface`; ``"scalar"``
-            runs the pure-Python STA and per-device aging loops.  Both
-            take identical decisions and return identical floats.
+    Each circuit variant is evaluated through one compiled lowering:
+    shifts from the vectorized gate-shift kernel, fresh and aged delays
+    plus the aged critical path off a
+    :class:`~repro.sta.compiled.TimingSurface`.
     """
-    if engine not in ("compiled", "scalar"):
-        raise ValueError(f"engine must be 'compiled' or 'scalar', "
-                         f"got {engine!r}")
     analyzer = analyzer or AgingAnalyzer()
     library = analyzer.library or default_library()
     if max_points < 0:
@@ -307,31 +297,20 @@ def greedy_control_points(circuit: Circuit, profile: OperatingProfile,
 
     def evaluate(c: Circuit, standby,
                  ctx: Optional[AnalysisContext] = None) -> _AgedEval:
-        if engine == "compiled":
-            if ctx is None:
-                ctx = AnalysisContext(c, library, analyzer.model)
-            shifts = analyzer.gate_shifts(c, profile, t_total,
-                                          standby=standby, context=ctx,
-                                          engine="compiled")
-            ct = ctx.compiled_timing()
-            fresh = ct.surface()
-            aged = ct.surface(delta_vth=shifts)
-            return _AgedEval(fresh.circuit_delay, aged.circuit_delay,
-                             shifts, tuple(aged.critical_gates()))
-        loads = gate_loads(c, library)
+        if ctx is None:
+            ctx = AnalysisContext(c, library, analyzer.model)
         shifts = analyzer.gate_shifts(c, profile, t_total, standby=standby,
-                                      engine="scalar")
-        fresh = analyze(c, library, loads=loads, engine="scalar")
-        aged = analyze(c, library, delta_vth=shifts, loads=loads,
-                       engine="scalar")
+                                      context=ctx, engine="compiled")
+        ct = ctx.compiled_timing()
+        fresh = ct.surface()
+        aged = ct.surface(delta_vth=shifts)
         return _AgedEval(fresh.circuit_delay, aged.circuit_delay,
                          shifts, tuple(aged.critical_gates()))
 
     # The baseline and the Table-4 bound look at the *same* circuit
     # under two standby vectors: one shared context serves both (one
     # lowering, one load pass, one active-probability walk).
-    base_ctx = (AnalysisContext(circuit, library, analyzer.model)
-                if engine == "compiled" else None)
+    base_ctx = AnalysisContext(circuit, library, analyzer.model)
     base = evaluate(circuit, dict(standby_vector), base_ctx)
     best = evaluate(circuit, ALL_ONE, base_ctx)
 

@@ -32,11 +32,7 @@ from repro.cells.leakage import LeakageTable
 from repro.cells.library import Library
 from repro.constants import TEN_YEARS
 from repro.core.profiles import OperatingProfile
-from repro.leakage.circuit import (
-    expected_leakage,
-    leakage_for_vector,
-    leakage_for_vectors,
-)
+from repro.leakage.circuit import expected_leakage, leakage_for_vectors
 from repro.netlist.circuit import Circuit
 from repro.sim.logic import default_library
 from repro.sim.vectors import all_vectors, bits_to_vector, vector_to_bits
@@ -104,9 +100,9 @@ def _batch_evaluator(circuit: Circuit, table: LeakageTable,
                      ) -> Callable[[Sequence[Tuple[int, ...]]], None]:
     """A closure evaluating a whole round's candidates in one packed pass.
 
-    Preserves the scalar path's ``seen`` dedup exactly: each distinct
-    bit tuple is evaluated once, first occurrence wins.  Leakage values
-    are bit-identical to :func:`leakage_for_vector` (the kernel
+    Dedups through ``seen``: each distinct bit tuple is evaluated once,
+    first occurrence wins.  Leakage values are bit-identical to
+    :func:`~repro.leakage.circuit.leakage_for_vector` (the kernel
     accumulates gates in the same order).
     """
     if context is None:
@@ -139,9 +135,11 @@ def probability_based_mlv_search(
         seed: int = 0,
         library: Optional[Library] = None,
         context=None,
-        engine: str = "packed",
         window_policy: str = "relative") -> MLVSearchResult:
     """The Fig. 7 probability-based MLV-set selection.
+
+    Each round's whole population is evaluated in one bit-parallel pass
+    (:mod:`repro.sim.packed`).
 
     Args:
         n_vectors: vectors generated per round (the paper's N).
@@ -159,11 +157,6 @@ def probability_based_mlv_search(
         context: an :class:`~repro.context.AnalysisContext` memoizing
             per-vector simulations and leakage sums; the NBTI-aware
             selection pass then reuses the very same standby states.
-        engine: ``"packed"`` evaluates each round's whole population in
-            one bit-parallel pass (:mod:`repro.sim.packed`);
-            ``"scalar"`` keeps the historical per-vector path.  Both
-            produce identical results (same RNG stream, same dedup,
-            bit-identical leakage).
         window_policy: ``"relative"`` or ``"absolute"`` (see
             ``range_fraction``).
 
@@ -174,11 +167,8 @@ def probability_based_mlv_search(
         raise ValueError("need at least two vectors per round")
     if not 0.0 < range_fraction < 1.0:
         raise ValueError("range_fraction must be in (0, 1)")
-    if engine not in ("packed", "scalar"):
-        raise ValueError(f"engine must be 'packed' or 'scalar', "
-                         f"got {engine!r}")
     obs.count("ivc.mlv.searches")
-    with obs.span("ivc.mlv.search", circuit=circuit.name, engine=engine):
+    with obs.span("ivc.mlv.search", circuit=circuit.name, engine="packed"):
         library = library or default_library()
         reference = _window_reference(circuit, table, library, context,
                                       window_policy)
@@ -186,21 +176,11 @@ def probability_based_mlv_search(
         pis = circuit.primary_inputs
 
         seen: Dict[Tuple[int, ...], float] = {}
-
-        if engine == "packed":
-            evaluate_all = _batch_evaluator(circuit, table, library, context,
-                                            seen)
-        else:
-            def evaluate_all(batch: Sequence[Tuple[int, ...]]) -> None:
-                for bits in batch:
-                    if bits not in seen:
-                        seen[bits] = leakage_for_vector(
-                            circuit, bits_to_vector(circuit, bits), table,
-                            library, context=context)
+        evaluate_all = _batch_evaluator(circuit, table, library, context,
+                                        seen)
 
         # Line 0: initial random population.  The whole round is
-        # generated before evaluation (evaluation draws no randomness),
-        # so the RNG stream is identical between engines.
+        # generated before evaluation (evaluation draws no randomness).
         randint = rng.randint
         random_draw = rng.random
         n_pis = len(pis)
@@ -263,32 +243,23 @@ def exhaustive_mlv_search(circuit: Circuit, table: LeakageTable,
                           max_set_size: int = 16,
                           library: Optional[Library] = None,
                           context=None, *,
-                          engine: str = "packed",
                           window_policy: str = "relative"
                           ) -> MLVSearchResult:
     """Exact MLV set by full enumeration (small circuits only).
 
-    With the default ``engine="packed"`` the whole truth-input space is
-    evaluated in one bit-parallel population pass.
+    The whole truth-input space is evaluated in one bit-parallel
+    population pass.
     """
     library = library or default_library()
-    with obs.span("ivc.mlv.exhaustive", circuit=circuit.name, engine=engine):
+    with obs.span("ivc.mlv.exhaustive", circuit=circuit.name,
+                  engine="packed"):
         reference = _window_reference(circuit, table, library, context,
                                       window_policy)
         seen: Dict[Tuple[int, ...], float] = {}
-        if engine == "packed":
-            evaluate_all = _batch_evaluator(circuit, table, library, context,
-                                            seen)
-            evaluate_all([vector_to_bits(circuit, v)
-                          for v in all_vectors(circuit)])
-        elif engine == "scalar":
-            for vector in all_vectors(circuit):
-                bits = vector_to_bits(circuit, vector)
-                seen[bits] = leakage_for_vector(circuit, vector, table,
-                                                library, context=context)
-        else:
-            raise ValueError(f"engine must be 'packed' or 'scalar', "
-                             f"got {engine!r}")
+        evaluate_all = _batch_evaluator(circuit, table, library, context,
+                                        seen)
+        evaluate_all([vector_to_bits(circuit, v)
+                      for v in all_vectors(circuit)])
         final = _filter_set(seen, range_fraction, max_set_size,
                             reference=reference)
         obs.annotate(evaluated=len(seen))

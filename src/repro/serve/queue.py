@@ -97,8 +97,8 @@ class JobQueue:
         with self._lock, self.obs.span("serve.queue.recover"):
             loaded: List[JobRecord] = []
             for job_id in self.store.list_jobs():
-                payload = self.store.load_job(job_id)
                 try:
+                    payload = self.store.load_job(job_id)
                     record = JobRecord.from_dict(payload or {})
                 except (ValueError, KeyError, TypeError):
                     counts["invalid"] += 1

@@ -28,7 +28,7 @@ from repro.netlist.circuit import Circuit
 from repro.sim.logic import default_library
 from repro.sleep.sizing import K_TRIODE_P
 from repro.sta.analysis import analyze, gate_loads
-from repro.variation.statistical import FastAgedTimer
+from repro.sta.compiled import compiled_timing_for
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def design_fine_grain(circuit: Circuit, beta: float, *,
     else:
         loads = gate_loads(circuit, library)
         base = analyze(circuit, library, loads=loads)
-    timer = FastAgedTimer(circuit, library, context=context)
+    ct = compiled_timing_for(circuit, library, context)
     overdrive = tech.vdd - tech.pmos.vth0
     budget_delay = base.circuit_delay * (1.0 + beta)
 
@@ -114,8 +114,8 @@ def design_fine_grain(circuit: Circuit, beta: float, *,
     # straight off the kernel's memoized base-delay vector (row 2i is
     # topo-gate i's rise delay, 2i+1 its fall — bit-identical to the
     # historic per-edge cell.delay loop).
-    fresh = timer.compiled.base_delays()
-    gate_index = timer.compiled.gate_index
+    fresh = ct.base_delays()
+    gate_index = ct.gate_index
     fresh_gate_delay: Dict[str, float] = {
         name: float(max(fresh[2 * gate_index[name]],
                         fresh[2 * gate_index[name] + 1]))
@@ -129,7 +129,7 @@ def design_fine_grain(circuit: Circuit, beta: float, *,
             drop = _drop_for_slowdown(slowdown, overdrive, tech.alpha)
             drops[name] = drop
             factors[name] = (overdrive / (overdrive - drop)) ** tech.alpha
-        delay = timer.circuit_delay(delay_factors=factors)
+        delay = ct.delay(delay_factors=factors)
         return drops, delay
 
     # Binary search the largest slack share that still meets timing.

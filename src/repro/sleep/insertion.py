@@ -169,16 +169,13 @@ def gated_aged_delay(circuit: Circuit, design: SleepTransistorDesign,
                      analyzer: Optional[AgingAnalyzer] = None,
                      model: NbtiModel = DEFAULT_MODEL,
                      library: Optional[Library] = None,
-                     context=None,
-                     engine: str = "auto") -> GatedTimingPoint:
+                     context=None) -> GatedTimingPoint:
     """Circuit delay after ``t_total`` seconds with the ST inserted.
 
     Internal gates age only from active-mode stress (standby parks every
     PMOS at Vgs ~ 0 in all three styles); headers additionally raise the
     virtual-rail drop as they age.  With ``context=`` the per-gate
-    shifts and loads are memoized across lifetime sweep points.  The
-    ``engine`` setting selects the vectorized or oracle shift path (see
-    :meth:`~repro.sta.degradation.AgingAnalyzer.gate_shifts`).
+    shifts and loads are memoized across lifetime sweep points.
     """
     analyzer = analyzer or AgingAnalyzer(library=library, model=model)
     library = library or default_library()
@@ -186,8 +183,7 @@ def gated_aged_delay(circuit: Circuit, design: SleepTransistorDesign,
     with obs.span("sleep.gated_point", t=float(t_total),
                   style=design.style.value):
         shifts = analyzer.gate_shifts(circuit, profile, t_total,
-                                      standby=ALL_ONE, context=context,
-                                      engine=engine)
+                                      standby=ALL_ONE, context=context)
         st_shift = 0.0
         if design.style.has_header:
             device = DeviceStress(active_stress_duty=1.0,
@@ -217,8 +213,7 @@ def gated_lifetime_series(circuit: Circuit, design: SleepTransistorDesign,
                           analyzer: Optional[AgingAnalyzer] = None,
                           model: NbtiModel = DEFAULT_MODEL,
                           library: Optional[Library] = None,
-                          context=None,
-                          engine: str = "auto") -> "list[GatedTimingPoint]":
+                          context=None) -> "list[GatedTimingPoint]":
     """Gated aged timing over a whole lifetime grid in one STA batch.
 
     Bit-identical to calling :func:`gated_aged_delay` once per instant
@@ -248,8 +243,7 @@ def gated_lifetime_series(circuit: Circuit, design: SleepTransistorDesign,
         for t in times:
             obs.count("sleep.gated_points")
             shifts = analyzer.gate_shifts(circuit, profile, t,
-                                          standby=ALL_ONE, context=context,
-                                          engine=engine)
+                                          standby=ALL_ONE, context=context)
             st_shift = 0.0
             if design.style.has_header:
                 device = DeviceStress(active_stress_duty=1.0,

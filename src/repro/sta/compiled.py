@@ -406,6 +406,40 @@ class CompiledTiming:
                     temperature=temperature)
         return out
 
+    def _delay_oracle(self, delta_vth: Optional[Dict[str, float]] = None,
+                      delay_factors: Optional[Dict[str, float]] = None
+                      ) -> float:
+        """The per-gate Python arrival walk, kept as the oracle for
+        :meth:`delay` with ``delay_factors`` (scalar ``analyze()`` takes
+        none); not memoized."""
+        delta_vth = delta_vth or {}
+        delay_factors = delay_factors or {}
+        circuit = self.circuit
+        tech = self.library.tech
+        overdrive = tech.vdd - tech.pmos.vth0
+        fresh = self.base_delays()
+        arrival: Dict[str, Dict[str, float]] = {
+            pi: {"rise": 0.0, "fall": 0.0} for pi in circuit.primary_inputs
+        }
+        for i, name in enumerate(self.gate_names):
+            gate = circuit.gates[name]
+            # Eq. (22) in the canonical operand order of analyze().
+            factor = delay_factors.get(name, 1.0) * (
+                1.0 + (tech.alpha * delta_vth.get(name, 0.0)) / overdrive)
+            out: Dict[str, float] = {}
+            for e, edge in enumerate(_EDGES):
+                d = fresh[2 * i + e] * factor
+                worst = 0.0
+                for net in gate.inputs:
+                    for in_edge in _input_edges_for(gate.cell, edge):
+                        a = arrival[net][in_edge]
+                        if a > worst:
+                            worst = a
+                out[edge] = worst + d
+            arrival[name] = out
+        return max(arrival[po][edge]
+                   for po in circuit.primary_outputs for edge in _EDGES)
+
     def gate_vector(self, values: GateValues, default: float = 0.0,
                     *, batch: bool = True) -> Optional[np.ndarray]:
         """Normalize a per-gate scenario input to an array (or ``None``).
@@ -442,7 +476,7 @@ class CompiledTiming:
 
         ``factor = delay_factors * (1 + alpha * dVth / (Vdd - Vth0))``,
         evaluated in exactly the scalar operand order so results stay
-        bit-identical to ``analyze()`` / the legacy ``FastAgedTimer``.
+        bit-identical to ``analyze()`` / :meth:`_delay_oracle`.
         """
         dvth = self.gate_vector(delta_vth, 0.0)
         extra = self.gate_vector(delay_factors, 1.0)
@@ -745,6 +779,19 @@ class CompiledTiming:
         return (f"CompiledTiming({self.circuit.name!r}, "
                 f"gates={self.n_gates}, levels={len(self._levels)}, "
                 f"candidates={self.fanin_idx.size})")
+
+
+def compiled_timing_for(circuit: Circuit, library: Library,
+                        context=None) -> CompiledTiming:
+    """The kernel a flow times ``circuit`` with under ``library``.
+
+    The context's memoized artifact when ``context`` covers exactly
+    this circuit and library, else a fresh lowering with default loads.
+    """
+    if (context is not None and context.circuit is circuit
+            and context.library is library):
+        return context.compiled_timing()
+    return CompiledTiming(circuit, library)
 
 
 class TimingSurface:

@@ -3,7 +3,6 @@
 from repro.variation.sampling import VariationModel
 from repro.variation.statistical import (
     FIG12_TIMES,
-    FastAgedTimer,
     StatisticalAgingResult,
     statistical_aging,
 )
@@ -11,7 +10,6 @@ from repro.variation.statistical import (
 __all__ = [
     "VariationModel",
     "FIG12_TIMES",
-    "FastAgedTimer",
     "StatisticalAgingResult",
     "statistical_aging",
 ]

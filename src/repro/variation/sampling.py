@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -88,95 +88,34 @@ class VariationModel:
         return {name: shared + self._draw(rng, self.sigma_local)
                 for name in circuit.gates}
 
-    def sample_many(self, circuit: Circuit, n_samples: int, seed: int = 0
-                    ) -> List[Dict[str, float]]:
-        """``n_samples`` independent dies, deterministic in ``seed``.
-
-        Bit-identical to ``[self.sample(circuit, Random(seed))...]``
-        run sequentially, but the whole population's Gaussian draws come
-        from **one** vectorized RNG call (:func:`_gauss_stream`) instead
-        of one ``gauss`` call per device — a zero-sigma component
-        consumes no draws, exactly like :meth:`_draw`.
-        """
-        if n_samples < 1:
-            raise ValueError("need at least one sample")
-        rng = random.Random(seed)
-        names = list(circuit.gates)
-        per_die = ((1 if self.sigma_global > 0.0 else 0)
-                   + (len(names) if self.sigma_local > 0.0 else 0))
-        if per_die == 0:
-            return [{name: 0.0 for name in names}
-                    for _ in range(n_samples)]
-        z = _gauss_stream(rng, per_die * n_samples)
-        g_bound = self.truncate_sigmas * self.sigma_global
-        l_bound = self.truncate_sigmas * self.sigma_local
-        dies: List[Dict[str, float]] = []
-        pos = 0
-        for _ in range(n_samples):
-            if self.sigma_global > 0.0:
-                value = 0.0 + float(z[pos]) * self.sigma_global
-                shared = max(-g_bound, min(g_bound, value))
-                pos += 1
-            else:
-                shared = 0.0
-            if self.sigma_local > 0.0:
-                die = {}
-                for name in names:
-                    value = 0.0 + float(z[pos]) * self.sigma_local
-                    die[name] = shared + max(-l_bound, min(l_bound, value))
-                    pos += 1
-            else:
-                die = {name: shared + 0.0 for name in names}
-            dies.append(die)
-        return dies
-
-    def sample_matrix(self, circuit: Circuit, n_samples: int, seed: int = 0,
-                      *, gate_order: Optional[Sequence[str]] = None
-                      ) -> np.ndarray:
-        """``(gates, samples)`` Vth0 offset matrix, deterministic in ``seed``.
-
-        The array-native form of :meth:`sample_many`: column ``s`` holds
-        die ``s``'s offsets, every entry bit-identical to
-        ``sample_many(circuit, n_samples, seed)[s][gate]`` (same RNG
-        word stream, same clip arithmetic), but assembled without any
-        per-die dict walk.  Rows follow ``gate_order`` when given (e.g.
-        ``CompiledTiming.gate_names``, so the matrix aligns with the
-        compiled kernel's gate axis), else ``circuit.gates`` order.
-
-        Raises:
-            ValueError: on an empty population or an unknown gate name
-                in ``gate_order``.
-        """
-        if n_samples < 1:
-            raise ValueError("need at least one sample")
-        rng = random.Random(seed)
-        names = list(circuit.gates)
-        n_gates = len(names)
-        per_die = self._draws_per_die(n_gates)
-        if per_die == 0:
-            matrix = np.zeros((n_gates, n_samples))
-        else:
-            # Dies are draw-major: die s consumed z[s*per_die:(s+1)*per_die]
-            # in the scalar loop, so one C-order reshape recovers the
-            # per-die rows.
-            z = _gauss_stream(rng, per_die * n_samples)
-            matrix = self._matrix_from_z(z, n_gates, n_samples, per_die)
-        perm = self._gate_perm(names, gate_order)
-        return matrix if perm is None else matrix[perm]
-
     def iter_sample_matrix(self, circuit: Circuit, n_samples: int,
                            seed: int = 0, *, chunk_samples: int,
                            gate_order: Optional[Sequence[str]] = None):
-        """Stream :meth:`sample_matrix` in ``(start, matrix)`` chunks.
+        """Stream ``(gates, samples)`` Vth0 offsets in ``(start, matrix)``
+        chunks, deterministic in ``seed``.
 
-        Yields ``(s0, m)`` pairs where ``m`` is bit-identical to
-        ``sample_matrix(...)[:, s0:s0 + m.shape[1]]`` — the same
-        Mersenne-Twister word stream, cut at die boundaries — while only
-        ever holding ``(gates, chunk_samples)`` in memory.  This is the
-        Monte-Carlo memory-budget primitive: ``chunk_samples`` is
+        Yields ``(s0, m)`` pairs where column ``j`` of ``m`` is die
+        ``s0 + j``: every entry is bit-identical to ``n_samples``
+        sequential :meth:`sample` calls on one ``Random(seed)`` (same
+        Mersenne-Twister word stream, same clip arithmetic), but the
+        Gaussian draws of a chunk come from one vectorized RNG call
+        (:func:`_gauss_stream`) and no per-die dict is built.  A
+        zero-sigma component consumes no draws, exactly like
+        :meth:`_draw`.
+
+        Only ``(gates, chunk_samples)`` is ever held in memory: this is
+        the Monte-Carlo memory-budget primitive.  ``chunk_samples`` is
         rounded up to even when the per-die draw count is odd, so every
-        chunk consumes whole Box-Muller word pairs and the stream stays
-        aligned with the one-shot call.
+        chunk consumes whole Box-Muller word pairs and the stream cuts
+        at die boundaries; the chunk size never changes a value.
+
+        Rows follow ``gate_order`` when given (e.g.
+        ``CompiledTiming.gate_names``, so each matrix aligns with the
+        compiled kernel's gate axis), else ``circuit.gates`` order.
+
+        Raises:
+            ValueError: on an empty population, a non-positive chunk
+                size or an unknown gate name in ``gate_order``.
         """
         if n_samples < 1:
             raise ValueError("need at least one sample")
@@ -206,9 +145,11 @@ class VariationModel:
                        per_die: int) -> np.ndarray:
         """Gaussian stream -> clipped ``(gates, samples)`` offsets.
 
-        The one arithmetic path shared by :meth:`sample_matrix` and
-        :meth:`iter_sample_matrix` — the leading ``0.0 +`` mirrors the
-        scalar normalization of ``-0.0`` products before clipping.
+        Dies are draw-major (die ``s`` consumes
+        ``z[s * per_die:(s + 1) * per_die]`` in :meth:`sample`), so one
+        C-order reshape recovers the per-die rows.  The leading
+        ``0.0 +`` mirrors the scalar normalization of ``-0.0`` products
+        before clipping.
         """
         has_global = self.sigma_global > 0.0
         z = z.reshape(n_samples, per_die)

@@ -8,111 +8,28 @@ For each Monte-Carlo die:
   the [51] compensation effect,
 * the circuit delay is re-evaluated.
 
-A fast timer caches the fresh per-gate delays once and re-runs only the
-arrival propagation with the eq. (22) multiplicative factors, so
-hundreds of samples per lifetime point stay cheap.
+The compiled STA kernel computes the fresh per-gate delays once; each
+chunk of dies is then one batched arrival propagation with the eq. (22)
+multiplicative factors, so hundreds of samples per lifetime point stay
+cheap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.cells.library import Library
 from repro.constants import TEN_YEARS, years
 from repro.core.aging_compiled import CompiledNbtiModel
 from repro.core.profiles import OperatingProfile
 from repro.netlist.circuit import Circuit
 from repro.sim.logic import default_library
-from repro.sta.analysis import _EDGES, _input_edges_for
-from repro.sta.compiled import CompiledTiming
+from repro.sta.compiled import compiled_timing_for
 from repro.sta.degradation import ALL_ZERO, AgingAnalyzer, StandbyStates
 from repro.variation.sampling import VariationModel
-
-
-class FastAgedTimer:
-    """Arrival-only STA with cached fresh delays (kernel shim).
-
-    Valid for the paper's ``per_gate`` aging mode, where an aged gate's
-    delay is its fresh delay times ``1 + alpha dVth/(Vdd - Vth0)`` on
-    both edges.  Historically this class carried its own copy of the
-    arrival propagation; it is now a thin facade over
-    :class:`repro.sta.compiled.CompiledTiming` (sharing the context's
-    memoized artifact when one is supplied), with the legacy dict-walk
-    retained behind ``engine="scalar"`` as the equivalence oracle.
-    """
-
-    def __init__(self, circuit: Circuit, library: Optional[Library] = None,
-                 *, context=None, engine: str = "compiled"):
-        if engine not in ("compiled", "scalar"):
-            raise ValueError(f"engine must be 'compiled' or 'scalar', "
-                             f"got {engine!r}")
-        self.circuit = circuit
-        if library is None and context is not None:
-            library = context.library
-        self.library = library or default_library()
-        self.engine = engine
-        if (context is not None and context.library is self.library
-                and context.circuit is circuit):
-            self.compiled = context.compiled_timing()
-        else:
-            self.compiled = CompiledTiming(circuit, self.library)
-
-    def circuit_delay(self, delta_vth: Optional[Dict[str, float]] = None,
-                      delay_factors: Optional[Dict[str, float]] = None
-                      ) -> float:
-        """Worst PO arrival with per-gate eq. (22) scaling applied.
-
-        ``delay_factors`` optionally multiplies each gate's fresh delay
-        by an arbitrary factor *before* the aging term — used by the
-        dual-Vth extension to model high-Vth cell swaps.
-        """
-        if self.engine == "compiled":
-            return self.compiled.delay(delta_vth, delay_factors)
-        return self._scalar_delay(delta_vth, delay_factors)
-
-    def delays_batch(self, delta_vth=None, delay_factors=None) -> "np.ndarray":
-        """Circuit delay per scenario for ``(n_gates, B)`` batch inputs.
-
-        Delegates to :meth:`CompiledTiming.delays_batch` regardless of
-        ``engine`` — the batch axis only exists in the kernel.
-        """
-        return self.compiled.delays_batch(delta_vth, delay_factors)
-
-    def _scalar_delay(self, delta_vth: Optional[Dict[str, float]] = None,
-                      delay_factors: Optional[Dict[str, float]] = None
-                      ) -> float:
-        """The legacy per-gate Python walk (oracle for the kernel)."""
-        delta_vth = delta_vth or {}
-        delay_factors = delay_factors or {}
-        circuit = self.circuit
-        tech = self.library.tech
-        overdrive = tech.vdd - tech.pmos.vth0
-        fresh = self.compiled.base_delays()
-        arrival: Dict[str, Dict[str, float]] = {
-            pi: {"rise": 0.0, "fall": 0.0} for pi in circuit.primary_inputs
-        }
-        for i, name in enumerate(self.compiled.gate_names):
-            gate = circuit.gates[name]
-            # Eq. (22) in the canonical operand order of analyze().
-            factor = delay_factors.get(name, 1.0) * (
-                1.0 + (tech.alpha * delta_vth.get(name, 0.0)) / overdrive)
-            out: Dict[str, float] = {}
-            for e, edge in enumerate(_EDGES):
-                d = fresh[2 * i + e] * factor
-                worst = 0.0
-                for net in gate.inputs:
-                    for in_edge in _input_edges_for(gate.cell, edge):
-                        a = arrival[net][in_edge]
-                        if a > worst:
-                            worst = a
-                out[edge] = worst + d
-            arrival[name] = out
-        return max(arrival[po][edge]
-                   for po in circuit.primary_outputs for edge in _EDGES)
 
 
 @dataclass
@@ -191,7 +108,7 @@ class StatisticalAgingResult:
 #: Fig. 12's lifetime sample points: fresh, 3 years, 10 years.
 FIG12_TIMES = (0.0, years(3.0), TEN_YEARS)
 
-#: Default Monte-Carlo working-set budget (bytes): the compiled engine
+#: Default Monte-Carlo working-set budget (bytes): statistical_aging
 #: streams the die population in sample chunks sized so the transient
 #: (gates, chunk) matrices stay under this.  ISCAS-scale populations fit
 #: in one chunk; a 100k-gate circuit with thousands of dies streams.
@@ -218,10 +135,12 @@ def statistical_aging(circuit: Circuit, profile: OperatingProfile,
                       analyzer: Optional[AgingAnalyzer] = None,
                       seed: int = 0,
                       context=None,
-                      engine: str = "compiled",
                       memory_budget: int = DEFAULT_MC_BUDGET
                       ) -> StatisticalAgingResult:
     """Monte-Carlo delay distribution across lifetime points.
+
+    The die population streams in (gates, chunk) ΔVth matrices, and
+    each chunk is timed in one batched kernel call per lifetime point.
 
     Args:
         times: lifetime instants (seconds); include 0.0 for the fresh
@@ -232,14 +151,9 @@ def statistical_aging(circuit: Circuit, profile: OperatingProfile,
         context: shared :class:`~repro.context.AnalysisContext`; the
             per-lifetime nominal shifts and the timer's loads come from
             its memo (the per-die sampling itself stays Monte-Carlo).
-        engine: ``"compiled"`` (default) streams the die population in
-            (gates, chunk) ΔVth matrices and times each chunk in one
-            batched kernel call; ``"scalar"`` keeps the historic
-            one-STA-per-die Python loop.  Both produce bit-identical
-            delay matrices, for any chunking.
-        memory_budget: compiled-engine working-set budget in bytes; the
-            sample axis is chunked so the transient matrices stay under
-            it (:data:`DEFAULT_MC_BUDGET` holds ISCAS populations in a
+        memory_budget: working-set budget in bytes; the sample axis is
+            chunked so the transient matrices stay under it
+            (:data:`DEFAULT_MC_BUDGET` holds ISCAS populations in a
             single chunk).  Results do not depend on the budget.
 
     Returns:
@@ -247,85 +161,54 @@ def statistical_aging(circuit: Circuit, profile: OperatingProfile,
     """
     if n_samples < 2:
         raise ValueError("need at least two samples for a distribution")
-    if engine not in ("compiled", "scalar"):
-        raise ValueError(f"engine must be 'compiled' or 'scalar', "
-                         f"got {engine!r}")
     if analyzer is None:
         analyzer = context.analyzer if context is not None else AgingAnalyzer()
     with obs.span("variation.statistical_aging", circuit=circuit.name,
-                  engine=engine, samples=n_samples, points=len(times)):
+                  engine="compiled", samples=n_samples, points=len(times)):
         library = analyzer.library or default_library()
-        calibration = analyzer.model.calibration
         vth0 = library.tech.pmos.vth0
         if context is not None and context.model == analyzer.model:
             base_field = context.field_factor(vth0)
         else:
-            base_field = calibration.field_factor(vth0)
+            base_field = analyzer.model.calibration.field_factor(vth0)
+        ct = compiled_timing_for(circuit, library, context)
 
-        timer = FastAgedTimer(circuit, library, context=context,
-                              engine=engine)
-
+        # Fully array-native and streamed: the offset population arrives
+        # as (gates, chunk) matrices aligned to the kernel's gate axis
+        # (chunked by the memory budget; the RNG stream cuts at die
+        # boundaries, so chunking never changes a value), the nominal
+        # shifts as memoized (n_gates,) vectors — no per-die or per-gate
+        # dict walk anywhere.  The per-element arithmetic keeps the
+        # per-die operand order (offset + base * scale), and the
+        # field-factor scale is one vectorized kernel call per offset
+        # chunk (same ufunc loops as the scalar calibration).
         delays = np.empty((len(times), n_samples))
-        if engine == "compiled":
-            # Fully array-native and streamed: the offset population
-            # arrives as (gates, chunk) matrices aligned to the kernel's
-            # gate axis (chunked by the memory budget; the RNG stream
-            # cuts at die boundaries, so chunking never changes a
-            # value), the nominal shifts as memoized (n_gates,) vectors
-            # — no per-die or per-gate dict walk anywhere.  The
-            # per-element arithmetic keeps the scalar operand order
-            # (offset + base * scale), so every matrix entry is
-            # bit-identical to the per-die dict math; the field-factor
-            # scale is one vectorized kernel call per offset chunk
-            # (same ufunc loops as the scalar calibration after the
-            # numerics unification).
-            ct = timer.compiled
-            use_ctx = context is not None and analyzer is context.analyzer
-            base_vecs = []
-            for t in times:
-                if t <= 0:
-                    base_vecs.append(np.zeros(ct.n_gates))
-                elif use_ctx:
-                    base_vecs.append(context.gate_shift_vector(
-                        profile, t, standby=standby, engine=engine))
-                else:
-                    shifts = analyzer.gate_shifts(circuit, profile, t,
-                                                  standby=standby,
-                                                  context=context,
-                                                  engine=engine)
-                    base_vecs.append(ct.gate_vector(shifts, 0.0,
-                                                    batch=False))
-            kernel = CompiledNbtiModel(analyzer.model)
-            chunk = _mc_chunk_samples(ct.n_gates, n_samples, memory_budget)
-            for s0, offv in variation.iter_sample_matrix(
-                    circuit, n_samples, seed, chunk_samples=chunk,
-                    gate_order=ct.gate_names):
-                count = offv.shape[1]
-                with obs.span("variation.mc_chunk", start=s0,
-                              samples=count):
-                    scalev = kernel.field_factors(vth0 + offv) / base_field
-                    for k in range(len(times)):
-                        with obs.span("variation.lifetime_point", index=k):
-                            total = offv + base_vecs[k][:, None] * scalev
-                            delays[k, s0:s0 + count] = \
-                                timer.delays_batch(total)
-        else:
-            # No inner spans: the scalar oracle runs one STA per die
-            # per point (thousands of calls on real sample counts).
-            base_shifts = [
-                analyzer.gate_shifts(circuit, profile, t, standby=standby,
-                                     context=context, engine=engine)
-                if t > 0 else {g: 0.0 for g in circuit.gates}
-                for t in times
-            ]
-            offsets = variation.sample_many(circuit, n_samples, seed)
-            for s, offset in enumerate(offsets):
-                scale = {g: calibration.field_factor(vth0 + off)
-                         / base_field for g, off in offset.items()}
+        use_ctx = context is not None and analyzer is context.analyzer
+        base_vecs = []
+        for t in times:
+            if t <= 0:
+                base_vecs.append(np.zeros(ct.n_gates))
+            elif use_ctx:
+                base_vecs.append(context.gate_shift_vector(
+                    profile, t, standby=standby, engine="compiled"))
+            else:
+                shifts = analyzer.gate_shifts(circuit, profile, t,
+                                              standby=standby,
+                                              context=context,
+                                              engine="compiled")
+                base_vecs.append(ct.gate_vector(shifts, 0.0, batch=False))
+        kernel = CompiledNbtiModel(analyzer.model)
+        chunk = _mc_chunk_samples(ct.n_gates, n_samples, memory_budget)
+        for s0, offv in variation.iter_sample_matrix(
+                circuit, n_samples, seed, chunk_samples=chunk,
+                gate_order=ct.gate_names):
+            count = offv.shape[1]
+            with obs.span("variation.mc_chunk", start=s0, samples=count):
+                scalev = kernel.field_factors(vth0 + offv) / base_field
                 for k in range(len(times)):
-                    total = {g: offset[g] + base_shifts[k][g] * scale[g]
-                             for g in circuit.gates}
-                    delays[k, s] = timer.circuit_delay(total)
+                    with obs.span("variation.lifetime_point", index=k):
+                        total = offv + base_vecs[k][:, None] * scalev
+                        delays[k, s0:s0 + count] = ct.delays_batch(total)
     return StatisticalAgingResult(circuit_name=circuit.name,
                                   times=np.asarray(list(times), dtype=float),
                                   delays=delays)

@@ -1,30 +1,35 @@
 """Shared engine-equivalence oracle for the differential test suites.
 
-Every vectorized kernel in this repo (compiled STA, bit-packed
-simulation, the aging kernel) carries the same contract: given the same
-inputs, ``engine="<kernel>"`` must return **bit-identical** results to
-the scalar oracle — not approximately equal.  :func:`assert_engines_match`
-runs one flow once per engine and compares the results *exactly*,
-recursing through dicts (including key order — callers iterate them),
-sequences, NumPy arrays, and dataclasses.
+The kernels that keep an ``engine=`` switch (``analyze``, the gate-shift
+kernel behind ``AgingAnalyzer.gate_shifts``) carry the same contract:
+given the same inputs, ``engine="compiled"`` must return
+**bit-identical** results to the ``engine="scalar"`` oracle — not
+approximately equal.  :func:`assert_engines_match` runs one kernel call
+once per engine and compares the results *exactly*, recursing through
+dicts (including key order — callers iterate them), sequences, NumPy
+arrays, and dataclasses.  Flows have one code path and are pinned by
+the fixtures under ``tests/golden/`` instead; the Monte-Carlo flow is
+also checked against :func:`statistical_aging_oracle`, its per-die loop
+rebuilt from the kept scalar references.
 
 Usage::
 
-    result = assert_engines_match(
-        lambda engine: statistical_aging(circuit, profile, engine=engine))
+    shifts = assert_engines_match(
+        lambda engine: analyzer.gate_shifts(circuit, profile, t,
+                                            engine=engine))
 
-    assert_engines_match(
-        lambda engine: probability_based_mlv_search(circuit, table,
-                                                    engine=engine),
-        engines=("packed", "scalar"))
-
-The first engine's result is returned so tests can make further
-assertions on it.
+The compiled result is returned so tests can make further assertions
+on it.
 """
 
 import dataclasses
+import random
 
 import numpy as np
+
+from repro.sim.logic import default_library
+from repro.sta.compiled import CompiledTiming
+from repro.sta.degradation import ALL_ZERO, AgingAnalyzer
 
 
 def assert_identical(a, b, path="result"):
@@ -51,34 +56,65 @@ def assert_identical(a, b, path="result"):
         assert a == b, f"{path}: {a!r} != {b!r}"
 
 
-def assert_engines_match(fn, *, engines=("compiled", "scalar"), fields=None):
-    """Run ``fn(engine=e)`` per engine and assert exact agreement.
+def assert_engines_match(fn, *, fields=None):
+    """Run ``fn(engine=e)`` for the kernel and its scalar oracle and
+    assert exact agreement.
 
     Args:
         fn: a callable taking an ``engine=`` keyword and returning the
-            flow's result (any nesting of dicts / sequences / arrays /
+            kernel's result (any nesting of dicts / sequences / arrays /
             dataclasses / scalars).
-        engines: engine names to compare; the first is the reference
-            (by convention the kernel, with ``"scalar"`` last as the
-            oracle).
         fields: optionally restrict the comparison to these attribute
             names of the results instead of full recursion — for
             results that legitimately carry engine-specific extras.
 
     Returns:
-        The first engine's result.
+        The ``engine="compiled"`` result.
     """
-    if len(engines) < 2:
-        raise ValueError("need at least two engines to compare")
-    reference = fn(engine=engines[0])
-    for engine in engines[1:]:
-        other = fn(engine=engine)
-        if fields is not None:
-            for name in fields:
-                assert_identical(getattr(reference, name),
-                                 getattr(other, name),
-                                 f"{engines[0]}-vs-{engine}.{name}")
-        else:
-            assert_identical(reference, other,
-                             f"{engines[0]}-vs-{engine}")
+    reference = fn(engine="compiled")
+    other = fn(engine="scalar")
+    if fields is not None:
+        for name in fields:
+            assert_identical(getattr(reference, name), getattr(other, name),
+                             f"compiled-vs-scalar.{name}")
+    else:
+        assert_identical(reference, other, "compiled-vs-scalar")
     return reference
+
+
+def statistical_aging_oracle(circuit, profile, times, *, n_samples,
+                             variation, seed, standby=ALL_ZERO):
+    """Per-die reference for ``statistical_aging``'s delay matrix.
+
+    One die at a time: :meth:`VariationModel.sample` offsets, the
+    scalar ``gate_shifts`` at each lifetime point scaled by the
+    calibration's field factor, and :meth:`CompiledTiming._delay_oracle`
+    — the same operand order as the batched flow, so the two agree
+    exactly.
+
+    Returns:
+        ``(len(times), n_samples)`` delays, seconds.
+    """
+    analyzer = AgingAnalyzer()
+    calibration = analyzer.model.calibration
+    library = default_library()
+    vth0 = library.tech.pmos.vth0
+    base_field = calibration.field_factor(vth0)
+    timer = CompiledTiming(circuit, library)
+    base_shifts = [
+        analyzer.gate_shifts(circuit, profile, t, standby=standby,
+                             engine="scalar")
+        if t > 0 else {g: 0.0 for g in circuit.gates}
+        for t in times
+    ]
+    rng = random.Random(seed)
+    delays = np.empty((len(times), n_samples))
+    for s in range(n_samples):
+        offset = variation.sample(circuit, rng)
+        scale = {g: calibration.field_factor(vth0 + off) / base_field
+                 for g, off in offset.items()}
+        for k, base in enumerate(base_shifts):
+            total = {g: offset[g] + base[g] * scale[g]
+                     for g in circuit.gates}
+            delays[k, s] = timer._delay_oracle(total)
+    return delays

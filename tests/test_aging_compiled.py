@@ -9,10 +9,13 @@ RAS × temperature grid, the DC/AC duty extremes, and per-die Vth0
 offset batches.
 """
 
+import random
+
 import numpy as np
 import pytest
 
-from tests._engines import assert_engines_match, assert_identical
+from tests._engines import (assert_engines_match, assert_identical,
+                            statistical_aging_oracle)
 from repro.constants import TEN_YEARS, years
 from repro.context import AnalysisContext
 from repro.core import DeviceStress, OperatingProfile
@@ -218,8 +221,9 @@ class TestPerDieBatches:
         die-by-die scalar field factors."""
         circuit = bench("c880")
         vth0 = 0.2
-        offsets = VariationModel(sigma_local=0.02).sample_many(circuit, 7,
-                                                               seed=17)
+        model = VariationModel(sigma_local=0.02)
+        rng = random.Random(17)
+        offsets = [model.sample(circuit, rng) for _ in range(7)]
         names = list(circuit.gates)
         offv = np.array([[off[g] for off in offsets] for g in names])
         batch = KERNEL.field_factors(vth0 + offv)
@@ -229,10 +233,12 @@ class TestPerDieBatches:
                     vth0 + off[g])
 
     def test_statistical_aging_engines_identical(self):
+        """The batched Monte-Carlo flow equals the per-die scalar loop."""
         circuit = bench("c880")
-        ctx = AnalysisContext(circuit)
-        assert_engines_match(
-            lambda engine: statistical_aging(
-                circuit, PROFILE, times=(0.0, years(3.0), TEN_YEARS),
-                n_samples=12, variation=VariationModel(sigma_local=0.015),
-                seed=8, context=ctx, engine=engine))
+        kwargs = dict(n_samples=12, variation=VariationModel(
+            sigma_local=0.015), seed=8)
+        times = (0.0, years(3.0), TEN_YEARS)
+        result = statistical_aging(circuit, PROFILE, times,
+                                   context=AnalysisContext(circuit), **kwargs)
+        assert_identical(result.delays, statistical_aging_oracle(
+            circuit, PROFILE, times, **kwargs))

@@ -72,3 +72,35 @@ def test_every_public_method_documented():
 def test_top_level_all_resolves():
     for name in repro.__all__:
         assert hasattr(repro, name)
+
+
+#: Packages whose flows have exactly one code path.  Kernel entry points
+#: (``analyze``, ``AgingAnalyzer.gate_shifts``...) and
+#: ``netlist.random_logic`` live elsewhere and keep their ``engine``.
+SINGLE_PATH_PACKAGES = ("repro.flow", "repro.ivc", "repro.variation",
+                        "repro.sleep")
+
+
+def test_flows_take_no_engine():
+    """No public function, class or method of a flow package takes an
+    ``engine`` parameter: each flow is pinned by its golden fixture."""
+    def signatures(name, obj):
+        yield name, obj
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+    offenders = []
+    for mod, name, obj in _public_callables():
+        if not any(mod == pkg or mod.startswith(pkg + ".")
+                   for pkg in SINGLE_PATH_PACKAGES):
+            continue
+        for qualname, fn in signatures(name, obj):
+            try:
+                params = inspect.signature(fn).parameters
+            except (TypeError, ValueError):
+                continue
+            if "engine" in params:
+                offenders.append(f"{mod}.{qualname}")
+    assert not offenders, f"flows with an engine switch: {offenders}"

@@ -468,37 +468,42 @@ class TestBundledSweeps(unittest.TestCase):
 
 
 class TestVectorizedSampling(unittest.TestCase):
-    """Satellite: one RNG call per population, bit-identical draws."""
+    """Satellite: one RNG call per chunk, bit-identical draws."""
 
-    def _oracle(self, model, circuit, n, seed):
+    def _oracle(self, model, circuit, n, seed, names):
         rng = random.Random(seed)
-        return [model.sample(circuit, rng) for _ in range(n)]
+        dies = [model.sample(circuit, rng) for _ in range(n)]
+        return np.array([[die[g] for die in dies] for g in names])
 
     def test_bit_identical_to_scalar_loop(self):
+        """``iter_sample_matrix`` at chunk sizes 1, 2, 4 and n equals n
+        sequential ``sample`` calls on one ``Random(seed)``, rows in the
+        compiled kernel's gate order."""
+        from repro.sta.compiled import CompiledTiming
         from repro.variation.sampling import VariationModel
 
         circuit = load_circuit("c432")
+        names = CompiledTiming(circuit).gate_names
         models = [VariationModel(),
                   VariationModel(sigma_local=0.01, sigma_global=0.02),
                   VariationModel(sigma_local=0.0, sigma_global=0.02),
                   VariationModel(sigma_local=0.0, sigma_global=0.0),
                   VariationModel(sigma_local=0.5, sigma_global=0.3,
-                                 truncate_sigmas=1.0)]
+                                 truncate_sigmas=1.0),
+                  VariationModel(sigma_local=0.02, sigma_global=0.01,
+                                 truncate_sigmas=0.5)]
         for model in models:
             for seed in (0, 7, 12345):
                 for n in (1, 2, 3, 17):
-                    self.assertEqual(
-                        model.sample_many(circuit, n, seed),
-                        self._oracle(model, circuit, n, seed),
-                        (model, seed, n))
-
-    def test_returns_plain_floats(self):
-        from repro.variation.sampling import VariationModel
-
-        dies = VariationModel().sample_many(load_circuit("c17"), 3, seed=2)
-        for die in dies:
-            for value in die.values():
-                self.assertIs(type(value), float)
+                    want = self._oracle(model, circuit, n, seed, names)
+                    for chunk in sorted({1, 2, 4, n}):
+                        got = np.hstack([part for _, part in
+                                         model.iter_sample_matrix(
+                                             circuit, n, seed,
+                                             chunk_samples=chunk,
+                                             gate_order=names)])
+                        self.assertTrue(np.array_equal(got, want),
+                                        (model, seed, n, chunk))
 
 
 class TestGatedLifetimeSeries(unittest.TestCase):

@@ -2,6 +2,10 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,44 @@ class TestResolveCircuit:
     def test_unknown_exits(self):
         with pytest.raises(SystemExit, match="unknown circuit"):
             resolve_circuit("c9999")
+
+
+def _run_cli(*argv, cwd):
+    """``python -m repro <argv>`` in a fresh interpreter."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "repro", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+class TestBadInput:
+    """Bad input ends in one ``error:`` line on stderr, not a traceback."""
+
+    def assert_one_line_error(self, proc):
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+    def test_unknown_gate_type(self, tmp_path):
+        (tmp_path / "bad.bench").write_text(
+            "INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n")
+        proc = _run_cli("age", "bad.bench", cwd=tmp_path)
+        self.assert_one_line_error(proc)
+        assert "unknown gate type" in proc.stderr
+
+    def test_negative_standby_temperature(self, tmp_path):
+        proc = _run_cli("age", "c17", "--t-standby", "-5", cwd=tmp_path)
+        self.assert_one_line_error(proc)
+        assert "kelvin" in proc.stderr
+
+    def test_negative_years(self, tmp_path):
+        proc = _run_cli("age", "c17", "--years", "-1", cwd=tmp_path)
+        self.assert_one_line_error(proc)
+        assert "--years" in proc.stderr
 
 
 class TestCommands:

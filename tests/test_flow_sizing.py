@@ -1,12 +1,16 @@
 """Tests for NBTI-aware gate sizing."""
 
+import random
+
 import pytest
 
 from repro.constants import TEN_YEARS
 from repro.core import OperatingProfile
 from repro.flow import SizingTimer, size_for_aging
+from repro.flow.sizing import _CompiledSizingState
 from repro.netlist import iscas85, load_packaged, random_logic
 from repro.sta import ALL_ZERO, AgingAnalyzer, analyze
+from repro.sta.compiled import CompiledTiming
 
 
 @pytest.fixture(scope="module")
@@ -101,3 +105,27 @@ class TestSizeForAging:
         res = size_for_aging(iscas85.load("c432"), PROFILE, TEN_YEARS)
         assert res.met
         assert 0 < res.area_overhead < 0.15
+
+
+class TestIncrementalSizingOracle:
+    """The incremental cone-retiming state vs SizingTimer's full Python
+    forward pass, its oracle."""
+
+    @pytest.mark.parametrize("name", ["c432", "c880"])
+    def test_resize_sequence_matches_full_walk(self, name):
+        circuit = iscas85.load(name)
+        timer = SizingTimer(circuit)
+        shifts = AgingAnalyzer().gate_shifts(circuit, PROFILE, TEN_YEARS)
+        sizes = {}
+        state = _CompiledSizingState(timer, CompiledTiming(circuit), sizes,
+                                     shifts)
+        assert state.evaluate() == timer.circuit_delay(sizes, shifts)
+        rng = random.Random(40)
+        gates = list(circuit.gates)
+        for _ in range(40):
+            gate = rng.choice(gates)
+            sizes[gate] = sizes.get(gate, 1.0) * rng.choice((1.2, 1.44, 2.0))
+            want = timer.circuit_delay(sizes, shifts)
+            assert state.trial(gate, sizes) == want[0]
+            assert state.commit([gate], sizes) == want
+            assert state.critical_cone() == timer.critical_cone(sizes, shifts)

@@ -24,7 +24,7 @@ from repro.sim import (
 )
 from repro.sleep import SleepStyle, design_sleep_transistor, gated_aged_delay
 from repro.sta import ALL_ONE, ALL_ZERO, AgingAnalyzer, analyze
-from repro.variation import FastAgedTimer
+from repro.sta.compiled import CompiledTiming
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +94,7 @@ class TestTimerConsistency:
         c = iscas85.load(name)
         analyzer = AgingAnalyzer()
         shifts = analyzer.gate_shifts(c, PROFILE, TEN_YEARS)
-        fast = FastAgedTimer(c).circuit_delay(shifts)
+        fast = CompiledTiming(c).delay(shifts)
         full = analyze(c, delta_vth=shifts).circuit_delay
         assert fast == pytest.approx(full, rel=1e-12)
 

@@ -18,7 +18,7 @@ from repro.leakage import leakage_for_vector
 from repro.netlist import parse_bench, random_logic, write_bench
 from repro.sim import constant_vector, evaluate, random_vectors
 from repro.sta import ALL_ONE, ALL_ZERO, AgingAnalyzer, analyze
-from repro.variation import FastAgedTimer
+from repro.sta.compiled import CompiledTiming
 
 LIB = build_library()
 TABLE = LeakageTable.build(LIB, 400.0)
@@ -86,7 +86,7 @@ class TestTimingProperties:
     @settings(**_SETTINGS)
     def test_fast_timer_matches_sta(self, circuit):
         shifts = ANALYZER.gate_shifts(circuit, PROFILE, TEN_YEARS)
-        fast = FastAgedTimer(circuit, LIB).circuit_delay(shifts)
+        fast = CompiledTiming(circuit, LIB).delay(shifts)
         full = analyze(circuit, LIB, delta_vth=shifts).circuit_delay
         assert fast == pytest.approx(full, rel=1e-12)
 

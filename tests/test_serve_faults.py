@@ -217,6 +217,21 @@ class TestRestartRecovery:
                           "invalid": 1}
         assert queue.pending() == 2
 
+    def test_truncated_record_counts_as_invalid(self, tmp_path):
+        # A torn write must not stop a restarted service from coming up.
+        store = ArtifactStore(tmp_path / "store")
+        kept = self._seed_record(store, "fp0", AgeScenario(), QUEUED)
+        torn = self._seed_record(store, "fp1", AgeScenario(years=2.0),
+                                 QUEUED)
+        path = tmp_path / "store" / "jobs" / f"{torn.job_id}.json"
+        path.write_bytes(path.read_bytes()[:20])
+        queue = JobQueue(store)
+        counts = queue.recover()
+        assert counts == {"queued": 1, "recovered": 0, "terminal": 0,
+                          "invalid": 1}
+        assert queue.pending() == 1
+        assert queue.get(kept.job_id).state == QUEUED
+
     def test_done_without_result_is_rejected(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         queue = JobQueue(store)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests._engines import assert_engines_match
+from tests._engines import assert_identical
 from repro.cells.leakage import LeakageTable
 from repro.cells.library import build_library
 from repro.context import AnalysisContext
@@ -37,6 +37,7 @@ from repro.sim import (
     unpack_matrix,
 )
 from repro.sim.logic import _cell_lut, default_library
+from repro.sim.vectors import bits_to_vector
 
 
 @pytest.fixture(scope="module")
@@ -232,28 +233,41 @@ class TestProbabilityEquivalence:
         assert ctx.stats.hits("activity") == 1
 
 
-class TestMlvEngineEquivalence:
-    @pytest.mark.parametrize("name", ["c432", "c880"])
-    def test_search_engines_identical(self, name, table):
-        circuit = iscas85.load(name)
-        assert_engines_match(
-            lambda engine: probability_based_mlv_search(
-                circuit, table, n_vectors=24, seed=5, engine=engine),
-            engines=("packed", "scalar"))
+def _scalar_evaluator(circuit, table, library, context, seen):
+    """Drop-in for ``repro.ivc.mlv._batch_evaluator``: one
+    :func:`leakage_for_vector` call per distinct vector, first
+    occurrence wins."""
+    def evaluate_all(batch):
+        for bits in batch:
+            if bits not in seen:
+                seen[bits] = leakage_for_vector(
+                    circuit, bits_to_vector(circuit, bits), table, library,
+                    context=context)
+    return evaluate_all
 
-    def test_exhaustive_engines_identical(self, table):
+
+class TestMlvEngineEquivalence:
+    """The MLV searches on the packed kernel equal the same searches
+    with each vector's leakage taken from the scalar oracle instead."""
+
+    @pytest.mark.parametrize("name", ["c432", "c880"])
+    def test_search_engines_identical(self, name, table, monkeypatch):
+        circuit = iscas85.load(name)
+        packed = probability_based_mlv_search(circuit, table, n_vectors=24,
+                                              seed=5)
+        monkeypatch.setattr("repro.ivc.mlv._batch_evaluator",
+                            _scalar_evaluator)
+        assert_identical(packed, probability_based_mlv_search(
+            circuit, table, n_vectors=24, seed=5))
+
+    def test_exhaustive_engines_identical(self, table, monkeypatch):
         circuit = random_logic("ex", n_inputs=7, n_outputs=3, n_gates=25,
                                seed=13)
-        packed = assert_engines_match(
-            lambda engine: exhaustive_mlv_search(circuit, table,
-                                                 engine=engine),
-            engines=("packed", "scalar"))
+        packed = exhaustive_mlv_search(circuit, table)
+        monkeypatch.setattr("repro.ivc.mlv._batch_evaluator",
+                            _scalar_evaluator)
+        assert_identical(packed, exhaustive_mlv_search(circuit, table))
         assert packed.evaluated == 2 ** 7
-
-    def test_unknown_engine_rejected(self, table):
-        with pytest.raises(ValueError, match="engine"):
-            probability_based_mlv_search(iscas85.load("c432"), table,
-                                         engine="quantum")
 
     def test_absolute_window_wider_than_relative(self, table):
         # The paper-literal absolute window (4 % of *total* leakage) is

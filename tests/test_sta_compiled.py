@@ -9,18 +9,17 @@ here is exact (``==`` / ``array_equal``), never ``approx``.
 import numpy as np
 import pytest
 
-from tests._engines import assert_engines_match
+from tests._engines import assert_identical, statistical_aging_oracle
 from repro import AnalysisContext
 from repro.constants import TEN_YEARS
 from repro.core import OperatingProfile
-from repro.flow.dual_vth import assign_dual_vth
-from repro.flow.sizing import size_for_aging
 from repro.netlist import Gate, iscas85, random_logic
 from repro.netlist.generators import (array_multiplier, ecc_circuit,
                                       priority_controller)
 from repro.sta.analysis import analyze
-from repro.sta.compiled import CompiledTiming
-from repro.variation.statistical import FastAgedTimer, statistical_aging
+from repro.sta.compiled import CompiledTiming, compiled_timing_for
+from repro.variation.sampling import VariationModel
+from repro.variation.statistical import statistical_aging
 
 PROFILE = OperatingProfile.from_ras("1:9", t_standby=330.0)
 
@@ -297,30 +296,40 @@ class TestNetlistMutation:
             circuit, engine="scalar").circuit_delay
 
 
-class TestFastAgedTimerShim:
-    def test_engines_bit_identical(self):
+class TestDelayOracle:
+    """``CompiledTiming.delay`` vs its per-gate Python walk oracle, the
+    only scalar reference that takes ``delay_factors``."""
+
+    def test_delay_matches_oracle(self):
         circuit = bench("c1355")
         dvth = random_dvth(circuit, seed=13)
         factors = {g: 1.0 + 0.01 * (i % 7)
                    for i, g in enumerate(circuit.gates)}
-        fast = FastAgedTimer(circuit, engine="compiled")
-        slow = FastAgedTimer(circuit, engine="scalar")
+        ct = CompiledTiming(circuit)
         for kwargs in ({}, {"delta_vth": dvth}, {"delay_factors": factors},
                        {"delta_vth": dvth, "delay_factors": factors}):
-            assert fast.circuit_delay(**kwargs) == slow.circuit_delay(**kwargs)
+            assert ct.delay(**kwargs) == ct._delay_oracle(**kwargs)
 
-    def test_matches_scalar_analyze(self):
+    def test_oracle_matches_scalar_analyze(self):
         circuit = bench("c432")
         dvth = random_dvth(circuit, seed=2)
-        timer = FastAgedTimer(circuit)
-        assert timer.circuit_delay(delta_vth=dvth) == analyze(
+        assert CompiledTiming(circuit)._delay_oracle(dvth) == analyze(
             circuit, delta_vth=dvth, engine="scalar").circuit_delay
 
+
+class TestCompiledTimingFor:
     def test_reuses_context_kernel(self):
         circuit = bench("c432")
         ctx = AnalysisContext(circuit)
-        timer = FastAgedTimer(circuit, context=ctx)
-        assert timer.compiled is ctx.compiled_timing()
+        assert (compiled_timing_for(circuit, ctx.library, ctx)
+                is ctx.compiled_timing())
+
+    def test_mismatched_context_lowers_afresh(self):
+        circuit = bench("c432")
+        ctx = AnalysisContext(bench("c880"))
+        ct = compiled_timing_for(circuit, ctx.library, ctx)
+        assert ct is not ctx.compiled_timing()
+        assert ct.circuit is circuit
 
 
 class TestMemoryHygiene:
@@ -376,18 +385,11 @@ class TestMemoryHygiene:
 
 class TestEngineEquivalenceFlows:
     def test_statistical_aging_engines_identical(self):
+        """The batched Monte-Carlo flow equals the per-die scalar loop
+        at the default variation model."""
         circuit = bench("c432")
-        kwargs = dict(times=(0.0, TEN_YEARS), n_samples=20, seed=4)
-        assert_engines_match(
-            lambda engine: statistical_aging(circuit, PROFILE,
-                                             engine=engine, **kwargs))
-
-    def test_sizing_engines_identical(self):
-        circuit = bench("c432")
-        assert_engines_match(
-            lambda engine: size_for_aging(circuit, PROFILE, engine=engine))
-
-    def test_dual_vth_engines_identical(self):
-        circuit = bench("c880")
-        assert_engines_match(
-            lambda engine: assign_dual_vth(circuit, engine=engine))
+        kwargs = dict(n_samples=20, variation=VariationModel(), seed=4)
+        times = (0.0, TEN_YEARS)
+        result = statistical_aging(circuit, PROFILE, times, **kwargs)
+        assert_identical(result.delays, statistical_aging_oracle(
+            circuit, PROFILE, times, **kwargs))

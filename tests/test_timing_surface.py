@@ -6,10 +6,13 @@ field **bit-for-bit** — same floats, same tie-breaks, same list orders —
 while never opening the ``sta.compiled.assemble`` span.  These tests pin
 that contract across the full ISCAS85 set plus the generator circuits,
 pin the vectorized ``base_delays`` compile against its retained scalar
-oracle, pin the array-native variation sampling against the per-die dict
-path, and assert (by span accounting, not wall clock) that the converted
-greedy flows never assemble a ``TimingResult`` in their trial loops.
+oracle, pin the streamed variation sampler against the per-die dict
+path, and assert (by span accounting, not wall clock) that the
+array-native greedy flows never assemble a ``TimingResult`` in their
+trial loops.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -166,22 +169,25 @@ class TestSampleMatrix:
         VariationModel(sigma_local=0.0, sigma_global=0.0),
     ])
     def test_matches_sample_many(self, model):
+        """The streamed matrix equals the per-die dicts of nine
+        sequential ``sample`` calls on one ``Random(seed)`` (what
+        ``sample_many`` returned), in netlist and in kernel gate order."""
         circuit = circuit_named("c432")
-        dies = model.sample_many(circuit, 9, seed=5)
-        names = list(circuit.gates)
-        reference = np.array([[die[g] for die in dies] for g in names])
-        assert_identical(model.sample_matrix(circuit, 9, seed=5), reference)
-        # Row permutation onto the compiled kernel's gate axis.
+        rng = random.Random(5)
+        dies = [model.sample(circuit, rng) for _ in range(9)]
         topo = CompiledTiming(circuit).gate_names
-        permuted = model.sample_matrix(circuit, 9, seed=5, gate_order=topo)
-        assert_identical(permuted,
-                         np.array([[die[g] for die in dies] for g in topo]))
+        for order in (None, topo):
+            names = list(circuit.gates) if order is None else order
+            reference = np.array([[die[g] for die in dies] for g in names])
+            got = np.hstack([m for _, m in model.iter_sample_matrix(
+                circuit, 9, 5, chunk_samples=4, gate_order=order)])
+            assert_identical(got, reference)
 
     def test_unknown_gate_rejected(self):
         circuit = circuit_named("c432")
         with pytest.raises(ValueError, match="unknown gate"):
-            VariationModel().sample_matrix(circuit, 2,
-                                           gate_order=["nonexistent"])
+            list(VariationModel().iter_sample_matrix(
+                circuit, 2, chunk_samples=2, gate_order=["nonexistent"]))
 
     def test_gate_shift_vector_memo(self):
         circuit = circuit_named("c432")
@@ -201,7 +207,7 @@ def spans_named(tracer, name):
 
 
 class TestNoAssemblyInTrialLoops:
-    """The converted greedy flows must never open ``sta.compiled.assemble``.
+    """The greedy flows must never open ``sta.compiled.assemble``.
 
     Span accounting is the assertion the benchmarks rely on: the whole
     point of the surface/incremental query path is that trial loops stop
@@ -213,8 +219,7 @@ class TestNoAssemblyInTrialLoops:
         circuit = circuit_named("c880")
         tracer = obs.Tracer()
         with obs.use_tracer(tracer):
-            assign_dual_vth(circuit, context=AnalysisContext(circuit),
-                            engine="compiled")
+            assign_dual_vth(circuit, context=AnalysisContext(circuit))
         assert spans_named(tracer, "sta.compiled.assemble") == []
         assert len(spans_named(tracer, "sta.compiled.surface")) >= 1
 
@@ -223,8 +228,7 @@ class TestNoAssemblyInTrialLoops:
         tracer = obs.Tracer()
         with obs.use_tracer(tracer):
             size_for_aging(circuit, PROFILE, TEN_YEARS,
-                           context=AnalysisContext(circuit),
-                           engine="compiled")
+                           context=AnalysisContext(circuit))
         assert spans_named(tracer, "sta.compiled.assemble") == []
         assert len(spans_named(tracer, "sta.compiled.surface")) >= 1
 
@@ -232,8 +236,7 @@ class TestNoAssemblyInTrialLoops:
         circuit = circuit_named("c432")
         tracer = obs.Tracer()
         with obs.use_tracer(tracer):
-            greedy_control_points(circuit, PROFILE, TEN_YEARS, max_points=4,
-                                  engine="compiled")
+            greedy_control_points(circuit, PROFILE, TEN_YEARS, max_points=4)
         assert spans_named(tracer, "sta.compiled.assemble") == []
         assert len(spans_named(tracer, "sta.compiled.surface")) >= 2
 
@@ -242,7 +245,7 @@ class TestNoAssemblyInTrialLoops:
         tracer = obs.Tracer()
         with obs.use_tracer(tracer):
             statistical_aging(circuit, PROFILE, times=(0.0, TEN_YEARS),
-                              n_samples=8, seed=1, engine="compiled",
+                              n_samples=8, seed=1,
                               context=AnalysisContext(circuit))
         assert spans_named(tracer, "sta.compiled.assemble") == []
 
@@ -294,13 +297,3 @@ class TestAgedDelaySummary:
         assert summary.fresh_delay == full.fresh_delay
         assert summary.aged_delay == full.aged_delay
         assert summary.max_shift == full.max_shift
-
-
-class TestFlowEngineIdentity:
-    """End-to-end: converted flows take identical decisions per engine."""
-
-    def test_control_points_engines_identical(self):
-        circuit = circuit_named("c432")
-        assert_engines_match(
-            lambda engine: greedy_control_points(
-                circuit, PROFILE, TEN_YEARS, max_points=4, engine=engine))

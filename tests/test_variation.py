@@ -9,9 +9,9 @@ from repro.constants import TEN_YEARS, years
 from repro.core import OperatingProfile
 from repro.netlist import random_logic
 from repro.sta import analyze
+from repro.sta.compiled import CompiledTiming
 from repro.variation import (
     FIG12_TIMES,
-    FastAgedTimer,
     StatisticalAgingResult,
     VariationModel,
     statistical_aging,
@@ -26,10 +26,25 @@ def circuit():
 PROFILE = OperatingProfile.from_ras("1:9", t_standby=400.0)
 
 
+def offset_matrix(model, circuit, n, seed, chunk=None, gate_order=None):
+    """The whole ``(gates, n)`` population of ``iter_sample_matrix``."""
+    return np.hstack([part for _, part in model.iter_sample_matrix(
+        circuit, n, seed, chunk_samples=chunk or n, gate_order=gate_order)])
+
+
+def sequential_matrix(model, circuit, n, seed, gate_order=None):
+    """The oracle: ``n`` sequential ``sample`` calls on one RNG."""
+    rng = random.Random(seed)
+    dies = [model.sample(circuit, rng) for _ in range(n)]
+    return np.array([[die[g] for die in dies]
+                     for g in gate_order or circuit.gates])
+
+
 class TestVariationModel:
     def test_deterministic(self, circuit):
         m = VariationModel(sigma_local=0.01)
-        assert m.sample_many(circuit, 3, seed=5) == m.sample_many(circuit, 3, seed=5)
+        assert np.array_equal(offset_matrix(m, circuit, 3, seed=5),
+                              offset_matrix(m, circuit, 3, seed=5))
 
     def test_zero_sigma_zero_offsets(self, circuit):
         m = VariationModel(sigma_local=0.0, sigma_global=0.0)
@@ -48,14 +63,12 @@ class TestVariationModel:
 
     def test_truncation(self, circuit):
         m = VariationModel(sigma_local=0.01, truncate_sigmas=2.0)
-        offsets = m.sample_many(circuit, 50, seed=0)
-        for sample in offsets:
-            assert all(abs(v) <= 0.02 + 1e-12 for v in sample.values())
+        offsets = offset_matrix(m, circuit, 50, seed=0)
+        assert np.abs(offsets).max() <= 0.02 + 1e-12
 
     def test_empirical_sigma(self, circuit):
         m = VariationModel(sigma_local=0.015)
-        samples = m.sample_many(circuit, 40, seed=2)
-        values = np.array([v for s in samples for v in s.values()])
+        values = offset_matrix(m, circuit, 40, seed=2)
         assert values.std() == pytest.approx(0.015, rel=0.15)
 
     def test_guards(self):
@@ -64,16 +77,17 @@ class TestVariationModel:
         with pytest.raises(ValueError):
             VariationModel(truncate_sigmas=0.0)
         with pytest.raises(ValueError):
-            VariationModel().sample_many(random_logic("x", 4, 1, 20, seed=1), 0)
+            offset_matrix(VariationModel(),
+                          random_logic("x", 4, 1, 20, seed=1), 0, 0, chunk=1)
 
 
 class TestChunkedSampling:
-    """iter_sample_matrix: streamed chunks == the one-shot matrix."""
+    """iter_sample_matrix: streamed chunks == sequential sample() calls."""
 
     @pytest.mark.parametrize("chunk", [1, 2, 5, 8, 37, 100])
     def test_chunks_bit_identical_to_one_shot(self, circuit, chunk):
         m = VariationModel(sigma_local=0.012, sigma_global=0.004)
-        full = m.sample_matrix(circuit, 23, seed=9)
+        full = sequential_matrix(m, circuit, 23, seed=9)
         for s0, part in m.iter_sample_matrix(circuit, 23, seed=9,
                                              chunk_samples=chunk):
             assert np.array_equal(part, full[:, s0:s0 + part.shape[1]])
@@ -82,18 +96,16 @@ class TestChunkedSampling:
         # sigma_global only: one draw per die, so an odd chunk would cut
         # a Box-Muller pair in half; the iterator rounds the chunk up.
         m = VariationModel(sigma_local=0.0, sigma_global=0.02)
-        full = m.sample_matrix(circuit, 17, seed=4)
+        full = sequential_matrix(m, circuit, 17, seed=4)
         for chunk in (1, 3, 11):
-            got = np.hstack([part for _, part in m.iter_sample_matrix(
-                circuit, 17, seed=4, chunk_samples=chunk)])
-            assert np.array_equal(got, full)
+            assert np.array_equal(
+                offset_matrix(m, circuit, 17, seed=4, chunk=chunk), full)
 
     def test_gate_order_permutation(self, circuit):
         m = VariationModel(sigma_local=0.01)
         order = sorted(circuit.gates)
-        full = m.sample_matrix(circuit, 6, seed=2, gate_order=order)
-        got = np.hstack([part for _, part in m.iter_sample_matrix(
-            circuit, 6, seed=2, chunk_samples=4, gate_order=order)])
+        full = sequential_matrix(m, circuit, 6, seed=2, gate_order=order)
+        got = offset_matrix(m, circuit, 6, seed=2, chunk=4, gate_order=order)
         assert np.array_equal(got, full)
 
     def test_zero_sigma_streams_zeros(self, circuit):
@@ -118,8 +130,7 @@ class TestMemoryBudget:
     """statistical_aging results are independent of the MC budget."""
 
     def test_budget_does_not_change_results(self, circuit):
-        kwargs = dict(times=(0.0, TEN_YEARS), n_samples=12, seed=3,
-                      engine="compiled")
+        kwargs = dict(times=(0.0, TEN_YEARS), n_samples=12, seed=3)
         base = statistical_aging(circuit, PROFILE, **kwargs)
         tiny = statistical_aging(circuit, PROFILE, memory_budget=1, **kwargs)
         assert np.array_equal(base.delays, tiny.delays)
@@ -135,21 +146,23 @@ class TestMemoryBudget:
 
 
 class TestFastTimer:
+    """The compiled kernel statistical_aging times each die with."""
+
     def test_matches_full_sta_fresh(self, circuit):
-        timer = FastAgedTimer(circuit)
-        assert timer.circuit_delay() == pytest.approx(
+        timer = CompiledTiming(circuit)
+        assert timer.delay() == pytest.approx(
             analyze(circuit).circuit_delay, rel=1e-12)
 
     def test_matches_full_sta_aged(self, circuit):
-        timer = FastAgedTimer(circuit)
+        timer = CompiledTiming(circuit)
         shifts = {g: 0.001 * (i % 5) for i, g in enumerate(circuit.gates)}
-        assert timer.circuit_delay(shifts) == pytest.approx(
+        assert timer.delay(shifts) == pytest.approx(
             analyze(circuit, delta_vth=shifts).circuit_delay, rel=1e-12)
 
     def test_negative_shift_speeds_up(self, circuit):
-        timer = FastAgedTimer(circuit)
-        fast = timer.circuit_delay({g: -0.01 for g in circuit.gates})
-        assert fast < timer.circuit_delay()
+        timer = CompiledTiming(circuit)
+        fast = timer.delay({g: -0.01 for g in circuit.gates})
+        assert fast < timer.delay()
 
 
 class TestStatisticalAging:
