@@ -38,7 +38,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -231,14 +231,30 @@ class ArtifactStore:
                            payload)
         obs.count("store.result_saves")
 
+    def _read_result(self, circuit_fp: str, scenario_key: str
+                     ) -> Tuple[Optional[Dict[str, Any]], bool]:
+        """``(payload, corrupt)``, uncounted: ``payload`` is ``None`` for
+        an absent or damaged (empty, truncated, non-object) record."""
+        path = self._result_path(circuit_fp, scenario_key)
+        try:
+            payload = json.loads(path.read_bytes())
+        except FileNotFoundError:
+            return None, False
+        except ValueError:  # empty, truncated, or not UTF-8
+            return None, True
+        if not isinstance(payload, dict):
+            return None, True
+        return payload, False
+
     def has_result(self, circuit_fp: str, scenario_key: str) -> bool:
-        """Whether a cached result exists (no hit/miss accounting).
+        """Whether a readable cached result exists (no hit/miss accounting).
 
         The uncounted peek used for consistency checks (e.g. the serve
         queue's done-implies-result invariant) — cache *traffic* stays
-        measured by :meth:`load_result` alone.
+        measured by :meth:`load_result` alone.  A damaged record reads
+        as absent here too, so the service recomputes it.
         """
-        return self._result_path(circuit_fp, scenario_key).exists()
+        return self._read_result(circuit_fp, scenario_key)[0] is not None
 
     def load_result(self, circuit_fp: str, scenario_key: str
                     ) -> Optional[Dict[str, Any]]:
@@ -248,17 +264,10 @@ class ArtifactStore:
         a miss too, also counted as ``store.result_corrupt``: the caller
         recomputes, and :meth:`save_result` replaces it atomically.
         """
-        path = self._result_path(circuit_fp, scenario_key)
-        try:
-            payload = json.loads(path.read_bytes())
-            corrupt = not isinstance(payload, dict)
-        except FileNotFoundError:
-            payload, corrupt = None, False
-        except ValueError:  # empty, truncated, or not UTF-8
-            payload, corrupt = None, True
+        payload, corrupt = self._read_result(circuit_fp, scenario_key)
         if corrupt:
             obs.count("store.result_corrupt")
-        if corrupt or payload is None:
+        if payload is None:
             self.stats.record_miss("result")
             obs.count("store.result_misses")
             return None

@@ -50,32 +50,23 @@ from repro.core import (
     guard_band,
 )
 from repro.flow.report import format_table, mv, ns, pct, ua
-from repro.netlist import (BenchParseError, iscas85, load_bench,
-                           load_packaged)
+from repro.netlist import BenchParseError, load_circuit
 from repro.netlist.circuit import Circuit, CircuitError
 
 
 def resolve_circuit(name: str) -> Circuit:
-    """Map a CLI circuit argument onto a loaded netlist.
+    """Map a CLI circuit argument onto a loaded netlist
+    (:func:`repro.netlist.load_circuit`).
 
     An unknown name or a malformed ``.bench`` file exits with a one-line
     ``error:`` message instead of a traceback.
     """
-    if name in iscas85.SPECS:
-        return iscas85.load(name)
     try:
-        return load_packaged(name)
-    except FileNotFoundError:
-        pass
-    path = Path(name)
-    if path.exists():
-        try:
-            return load_bench(path)
-        except (BenchParseError, CircuitError) as exc:
-            raise SystemExit(f"error: {name}: {exc}") from None
-    known = ", ".join(list(iscas85.NAMES) + ["c17"])
-    raise SystemExit(f"error: unknown circuit {name!r} "
-                     f"(known benchmarks: {known}; or pass a .bench path)")
+        return load_circuit(name)
+    except (BenchParseError, CircuitError) as exc:
+        raise SystemExit(f"error: {name}: {exc}") from None
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
 
 def _add_profile_args(parser: argparse.ArgumentParser) -> None:
@@ -303,18 +294,21 @@ def cmd_mlv(args) -> int:
 
 def cmd_sleep(args) -> int:
     """``sleep``: sleep-transistor sizing and aged gated timing."""
+    from repro.context import AnalysisContext
     from repro.sleep import (SleepStyle, design_sleep_transistor,
                              gated_lifetime_series, st_vth_shift)
-    from repro.sta import AgingAnalyzer
     circuit = resolve_circuit(args.circuit)
     profile = _profile_from(args)
     style = SleepStyle(args.style)
     margin = st_vth_shift(args.vth_st, args.ras) if args.nbti_aware else 0.0
+    context = AnalysisContext(circuit)
     design = design_sleep_transistor(circuit, style, args.beta,
-                                     vth_st=args.vth_st, nbti_margin=margin)
-    fresh = AgingAnalyzer().aged_timing(circuit, profile, 0.0).fresh_delay
+                                     vth_st=args.vth_st, nbti_margin=margin,
+                                     context=context)
+    fresh = context.fresh_delay()
     t0, t_end = gated_lifetime_series(circuit, design, profile,
-                                      [0.0, years(args.years)])
+                                      [0.0, years(args.years)],
+                                      context=context)
     print(f"circuit        : {circuit.name}")
     print(f"style          : {style.value}, beta {pct(args.beta, 0)}"
           + (", NBTI-aware sizing" if args.nbti_aware else ""))
@@ -342,15 +336,17 @@ def cmd_guardband(args) -> int:
 
 def cmd_paths(args) -> int:
     """``paths``: K longest (optionally aged) paths."""
-    from repro.sta import ALL_ZERO, AgingAnalyzer, enumerate_paths
+    from repro.context import AnalysisContext
+    from repro.sta import ALL_ZERO, enumerate_paths
     circuit = resolve_circuit(args.circuit)
+    context = AnalysisContext(circuit)
     delta = None
     if args.aged:
         profile = _profile_from(args)
-        delta = AgingAnalyzer().gate_shifts(circuit, profile,
-                                            years(args.years),
-                                            standby=ALL_ZERO)
-    paths = enumerate_paths(circuit, args.k, delta_vth=delta)
+        delta = context.gate_shifts(profile, years(args.years),
+                                    standby=ALL_ZERO)
+    paths = enumerate_paths(circuit, args.k, delta_vth=delta,
+                            context=context)
     rows = []
     for i, path in enumerate(paths):
         first, last = path.nodes[0][0], path.nodes[-1][0]
@@ -365,10 +361,12 @@ def cmd_paths(args) -> int:
 
 def cmd_table4(args) -> int:
     """``table4``: internal-node-control potential sweep."""
+    from repro.context import AnalysisContext
     from repro.ivc import potential_sweep
     circuit = resolve_circuit(args.circuit)
     rows = potential_sweep(circuit, (330.0, 350.0, 370.0, 400.0),
-                           ras=args.ras, t_total=years(args.years))
+                           ras=args.ras, t_total=years(args.years),
+                           context=AnalysisContext(circuit))
     printable = [[f"{r.t_standby:.0f} K", pct(r.worst_degradation),
                   pct(r.best_degradation), pct(r.potential, 1)]
                  for r in rows]

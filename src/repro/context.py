@@ -66,12 +66,16 @@ control-point / sleep-transistor insertion) must call
 :meth:`AnalysisContext.invalidate` afterwards; circuit-level structure
 caches are dropped by the mutation entry points themselves.
 
-Compatibility story: nothing *requires* a context.  Every pre-existing
-free function (``propagate_probabilities``, ``gate_loads``,
-``expected_leakage``, ...) keeps its signature and now routes through a
-transient context when none is supplied, or accepts ``context=`` to join
-a shared one.  :class:`repro.flow.platform.AnalysisPlatform` is a thin
-facade that keeps one context per circuit.
+Compatibility story: nothing *requires* a context, and one rule decides
+when a caller's ``context=`` is used.  :func:`context_for` returns it
+when it covers the call (:meth:`AnalysisContext.covers`, plus the same
+leakage table where the call passes one) and a transient context bound
+to exactly the call's inputs otherwise; every free function computes
+only through the context it returns.  The scalar oracles (``analyze``,
+``evaluate``, ``leakage_for_vector``) ask :func:`covering_context` and
+run their reference path when it says no.
+:class:`repro.flow.platform.AnalysisPlatform` keeps one context per
+circuit.
 """
 
 from __future__ import annotations
@@ -506,19 +510,12 @@ class AnalysisContext:
             self, pi_one_prob: Optional[Mapping[str, float]] = None
     ) -> Dict[str, Dict[str, float]]:
         """Per-gate pin -> P(pin = 1) maps over the analytic probabilities."""
-        def compute() -> Dict[str, Dict[str, float]]:
-            probs = self.probabilities(pi_one_prob)
-            result: Dict[str, Dict[str, float]] = {}
-            for gate in self.circuit.gates.values():
-                cell = self.library.get(gate.cell)
-                result[gate.name] = {
-                    pin: probs[net]
-                    for pin, net in zip(cell.inputs, gate.inputs)
-                }
-            return result
+        from repro.sim.probability import gate_input_probabilities
 
-        return self._memo("gate_input_probabilities",
-                          self._prob_key(pi_one_prob), compute)
+        return self._memo(
+            "gate_input_probabilities", self._prob_key(pi_one_prob),
+            lambda: gate_input_probabilities(
+                self.circuit, self.probabilities(pi_one_prob), self.library))
 
     def stress_duties(self, pi_one_prob: Optional[Mapping[str, float]] = None
                       ) -> Dict[str, Dict[str, float]]:
@@ -620,17 +617,6 @@ class AnalysisContext:
 
         return self._memo("leakage_table", (self.leakage_temperature,),
                           compute)
-
-    def adopt_leakage_table(self, table: LeakageTable) -> None:
-        """Bind a caller-supplied table if this context has none yet.
-
-        Lets the free-function wrappers (which take an explicit table
-        argument) join the memo without double-building; a context that
-        already owns a *different* table is left untouched.
-        """
-        if (self._leakage_source is None
-                and "leakage_table" not in self._caches):
-            self._leakage_source = table
 
     def leakage_for_bits(self, bits: Sequence[int]) -> float:
         """Standby leakage (amperes) with the PIs parked at ``bits``."""
@@ -786,7 +772,62 @@ class AnalysisContext:
             self.circuit, profile, t_total, standby=standby,
             supply_drop=supply_drop, context=self)
 
+    def covers(self, circuit: Circuit, library: Optional[Library] = None,
+               model: Optional[NbtiModel] = None) -> bool:
+        """Whether this context may answer a call on ``circuit``: the
+        same circuit and library objects and an equal NBTI model (an
+        unset ``library`` or ``model`` matches)."""
+        return (circuit is self.circuit
+                and (library is None or library is self.library)
+                and (model is None or model == self.model))
+
     def __repr__(self) -> str:
         return (f"AnalysisContext({self.circuit.name!r}, "
                 f"cells={len(self.library)}, "
                 f"hits={self.stats.hits()}, misses={self.stats.misses()})")
+
+
+def covering_context(context: Optional[AnalysisContext], circuit: Circuit,
+                     library: Optional[Library] = None,
+                     model: Optional[NbtiModel] = None, *,
+                     leakage_table: Optional[LeakageTable] = None
+                     ) -> Optional[AnalysisContext]:
+    """``context`` when it covers the call, else ``None``.
+
+    Covering is :meth:`AnalysisContext.covers` plus, when the call
+    passes a ``leakage_table``, serving that very table: a context with
+    no table yet adopts it, one that owns another table does not cover.
+    """
+    if context is None or not context.covers(circuit, library, model):
+        return None
+    if leakage_table is not None:
+        if (context._leakage_source is None
+                and "leakage_table" not in context._caches):
+            context._leakage_source = leakage_table
+        if context.leakage_table is not leakage_table:
+            return None
+    return context
+
+
+def context_for(circuit: Circuit, library: Optional[Library] = None,
+                model: Optional[NbtiModel] = None, *,
+                context: Optional[AnalysisContext] = None,
+                leakage_table: Optional[LeakageTable] = None
+                ) -> AnalysisContext:
+    """The context a call on ``circuit`` computes through.
+
+    The caller's ``context`` when it covers the call
+    (:func:`covering_context`), otherwise a transient context bound to
+    exactly these inputs.  An unset library or model defaults to
+    ``context``'s, then to PTM90 and :data:`DEFAULT_MODEL`.
+    """
+    found = covering_context(context, circuit, library, model,
+                             leakage_table=leakage_table)
+    if found is not None:
+        return found
+    if context is not None:
+        library = library or context.library
+        model = context.model if model is None else model
+    return AnalysisContext(circuit, library,
+                           DEFAULT_MODEL if model is None else model,
+                           leakage_table=leakage_table)

@@ -21,12 +21,12 @@ from typing import Dict, Optional, Set
 
 from repro.cells.library import Library
 from repro.constants import TEN_YEARS, thermal_voltage
+from repro.context import context_for
 from repro.core.aging import DEFAULT_MODEL, NbtiModel
 from repro.core.profiles import OperatingProfile
 from repro.netlist.circuit import Circuit
 from repro.sim.logic import default_library
-from repro.sta.compiled import compiled_timing_for
-from repro.sta.degradation import ALL_ZERO, AgingAnalyzer
+from repro.sta.degradation import ALL_ZERO
 
 
 @dataclass(frozen=True)
@@ -106,17 +106,14 @@ def assign_dual_vth(circuit: Circuit, *, delta_vth_hvt: float = 0.10,
             the paper's RAS = 1:9, T_standby = 330 K).
         context: shared :class:`~repro.context.AnalysisContext`; the
             base STA, gate loads, stress duties, and the compiled
-            kernel come from its memo.
+            kernel come from the memo of the context
+            :func:`~repro.context.context_for` resolves.
     """
-    if context is not None and library is None:
-        library = context.library
-    library = library or default_library()
-    if context is not None and (context.circuit is not circuit
-                                or context.library is not library):
-        context = None
+    context = context_for(circuit, library, model, context=context)
+    library = context.library
     profile = profile or OperatingProfile.from_ras("1:9", t_standby=330.0)
     factor = hvt_delay_factor(delta_vth_hvt, library)
-    ct = compiled_timing_for(circuit, library, context)
+    ct = context.compiled_timing()
     factors: Dict[str, float] = {}
     hvt: Set[str] = set()
     # Array-native base STA: the fresh delay and the per-gate slack
@@ -145,22 +142,15 @@ def assign_dual_vth(circuit: Circuit, *, delta_vth_hvt: float = 0.10,
     fresh_dual = inc.circuit_delay
 
     # Aging comparison at the lifetime horizon (worst-case standby).
-    analyzer = (context.analyzer
-                if context is not None and context.model == model
-                else AgingAnalyzer(library=library, model=model))
-    shifts_lvt = analyzer.gate_shifts(circuit, profile, lifetime,
-                                      standby=ALL_ZERO, context=context,
-                                      engine="compiled")
+    shifts_lvt = context.analyzer.gate_shifts(circuit, profile, lifetime,
+                                              standby=ALL_ZERO,
+                                              context=context,
+                                              engine="compiled")
     vth0 = library.tech.pmos.vth0
-    calibration = model.calibration
-    if context is not None and context.model == model:
-        # Hoisted through the context memo: co-optimization loops call
-        # this flow repeatedly with the same Vth pair.
-        hvt_scale = (context.field_factor(vth0 + delta_vth_hvt)
-                     / context.field_factor(vth0))
-    else:
-        hvt_scale = (calibration.field_factor(vth0 + delta_vth_hvt)
-                     / calibration.field_factor(vth0))
+    # Hoisted through the context memo: co-optimization loops call this
+    # flow repeatedly with the same Vth pair.
+    hvt_scale = (context.field_factor(vth0 + delta_vth_hvt)
+                 / context.field_factor(vth0))
     shifts_dual = {g: dv * (hvt_scale if g in hvt else 1.0)
                    for g, dv in shifts_lvt.items()}
     aged_lvt = ct.delay(shifts_lvt)

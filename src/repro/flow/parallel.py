@@ -51,7 +51,7 @@ from typing import (
 from repro import obs
 from repro.constants import TEN_YEARS
 from repro.core.profiles import OperatingProfile
-from repro.netlist.circuit import Circuit
+from repro.netlist import load_circuit
 
 logger = logging.getLogger(__name__)
 
@@ -102,28 +102,6 @@ class _ObservedWorker:
         return WorkerObservation(result=result, spans=tracer.span_dicts(),
                                  metrics=registry.snapshot(),
                                  cache_stats=captured, pid=os.getpid())
-
-
-def load_circuit(name: str) -> Circuit:
-    """Load a benchmark circuit by name (workers call this per process).
-
-    Accepts ISCAS85 names (``c432`` ...), packaged netlists (``c17``),
-    or a ``.bench`` file path.
-    """
-    from pathlib import Path
-
-    from repro.netlist import iscas85, load_bench, load_packaged
-
-    if name in iscas85.SPECS:
-        return iscas85.load(name)
-    try:
-        return load_packaged(name)
-    except FileNotFoundError:
-        pass
-    path = Path(name)
-    if path.exists():
-        return load_bench(path)
-    raise ValueError(f"unknown circuit {name!r}")
 
 
 def run_sweep(worker: Callable[[J], R], jobs: Sequence[J], *,

@@ -22,11 +22,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cells.library import Library
 from repro.constants import TEN_YEARS
+from repro.context import context_for
 from repro.core.profiles import OperatingProfile
 from repro.netlist.circuit import Circuit
 from repro.sim.logic import default_library
 from repro.sta.analysis import _EDGES, _input_edges_for, PO_CAP, WIRE_CAP
-from repro.sta.compiled import compiled_timing_for
 from repro.sta.degradation import ALL_ZERO, AgingAnalyzer, StandbyStates
 
 
@@ -337,17 +337,19 @@ def size_for_aging(circuit: Circuit, profile: OperatingProfile,
         max_size: per-gate size cap.
         max_area_factor: stop when total area exceeds this factor.
         context: shared :class:`~repro.context.AnalysisContext`; the
-            aging shifts (probability propagation + stress duties) come
-            from its memo, the load-aware sizing timer stays local.
+            aging shifts (probability propagation + stress duties) and
+            the compiled kernel come from the memo of the context
+            :func:`~repro.context.context_for` resolves, the load-aware
+            sizing timer stays local.
 
     The aging shifts are held fixed during sizing (sizing changes
     loads, not stress states), which matches [22]'s formulation.
     """
-    library = library or (context.library if context is not None
-                          else default_library())
+    context = context_for(circuit, library, context=context)
+    library = context.library
     analyzer = analyzer or AgingAnalyzer(library=library)
     timer = SizingTimer(circuit, library)
-    compiled = compiled_timing_for(circuit, library, context)
+    compiled = context.compiled_timing()
     # Fresh spec off the timing surface: the sizing delay model's forward
     # walk floors every arrival max at 0.0, exactly the propagate/reduceat
     # semantics, so this equals SizingTimer.circuit_delay() bit for bit.

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.constants import TEN_YEARS
+from repro.context import context_for
 from repro.core.profiles import OperatingProfile
 from repro.netlist.circuit import Circuit
 from repro.sim.vectors import bits_to_vector
@@ -66,15 +67,18 @@ def compare_alternation(circuit: Circuit, vectors: Sequence[Tuple[int, ...]],
     if not vectors:
         raise ValueError("need at least one standby vector")
     analyzer = analyzer or AgingAnalyzer()
+    context = context_for(circuit, analyzer.library, analyzer.model)
     singles = []
     for bits in vectors:
         res = analyzer.aged_timing(circuit, profile, t_total,
-                                   standby=bits_to_vector(circuit, bits))
+                                   standby=bits_to_vector(circuit, bits),
+                                   context=context)
         singles.append(res)
     best_single = min(singles, key=lambda r: r.aged_delay)
     rotating = analyzer.aged_timing(
         circuit, profile, t_total,
-        standby=[bits_to_vector(circuit, bits) for bits in vectors])
+        standby=[bits_to_vector(circuit, bits) for bits in vectors],
+        context=context)
     return AlternationComparison(
         circuit_name=circuit.name,
         fresh_delay=best_single.fresh_delay,

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cells.library import Library
 from repro.constants import TEN_YEARS
-from repro.context import AnalysisContext
+from repro.context import AnalysisContext, context_for
 from repro.core.profiles import OperatingProfile
 from repro.netlist.circuit import Circuit, Gate
 from repro.sim.logic import default_library
@@ -297,8 +297,7 @@ def greedy_control_points(circuit: Circuit, profile: OperatingProfile,
 
     def evaluate(c: Circuit, standby,
                  ctx: Optional[AnalysisContext] = None) -> _AgedEval:
-        if ctx is None:
-            ctx = AnalysisContext(c, library, analyzer.model)
+        ctx = context_for(c, library, analyzer.model, context=ctx)
         shifts = analyzer.gate_shifts(c, profile, t_total, standby=standby,
                                       context=ctx, engine="compiled")
         ct = ctx.compiled_timing()

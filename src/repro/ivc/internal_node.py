@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.constants import TEN_YEARS
+from repro.context import context_for
 from repro.core.profiles import OperatingProfile
 from repro.netlist.circuit import Circuit
 from repro.sta.degradation import ALL_ONE, ALL_ZERO, AgingAnalyzer
@@ -55,11 +56,13 @@ def internal_node_potential(circuit: Circuit, profile: OperatingProfile,
                             context=None) -> InternalNodePotential:
     """Worst/best bounding degradations and their gap for one circuit.
 
-    With ``context=`` the two bounding runs share one set of gate loads,
-    stress duties, and fresh STA from the memoized evaluation layer.
+    The two bounding runs share one resolved context: one set of gate
+    loads, stress duties, and fresh STA.
     """
     if analyzer is None:
         analyzer = context.analyzer if context is not None else AgingAnalyzer()
+    context = context_for(circuit, analyzer.library, analyzer.model,
+                          context=context)
     worst = analyzer.aged_timing(circuit, profile, t_total, standby=ALL_ZERO,
                                  context=context)
     best = analyzer.aged_timing(circuit, profile, t_total, standby=ALL_ONE,
@@ -77,9 +80,12 @@ def potential_sweep(circuit: Circuit, t_standby_values: Sequence[float],
                     ras: str = "1:9", t_total: float = TEN_YEARS,
                     analyzer: Optional[AgingAnalyzer] = None,
                     context=None) -> list:
-    """Table 4's standby-temperature sweep for one circuit."""
+    """Table 4's standby-temperature sweep for one circuit, every row
+    through one resolved context (one lowering)."""
     if analyzer is None:
         analyzer = context.analyzer if context is not None else AgingAnalyzer()
+    context = context_for(circuit, analyzer.library, analyzer.model,
+                          context=context)
     rows = []
     for tst in t_standby_values:
         profile = OperatingProfile.from_ras(ras, t_standby=tst)

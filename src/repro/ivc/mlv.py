@@ -31,10 +31,9 @@ from repro import obs
 from repro.cells.leakage import LeakageTable
 from repro.cells.library import Library
 from repro.constants import TEN_YEARS
+from repro.context import context_for
 from repro.core.profiles import OperatingProfile
-from repro.leakage.circuit import expected_leakage, leakage_for_vectors
 from repro.netlist.circuit import Circuit
-from repro.sim.logic import default_library
 from repro.sim.vectors import all_vectors, bits_to_vector, vector_to_bits
 from repro.sta.degradation import AgingAnalyzer
 
@@ -94,9 +93,7 @@ def _filter_set(records: Dict[Tuple[int, ...], float],
     return [MLVRecord(bits, leak) for leak, bits in kept[:max_keep]]
 
 
-def _batch_evaluator(circuit: Circuit, table: LeakageTable,
-                     library: Library, context,
-                     seen: Dict[Tuple[int, ...], float]
+def _batch_evaluator(context, seen: Dict[Tuple[int, ...], float]
                      ) -> Callable[[Sequence[Tuple[int, ...]]], None]:
     """A closure evaluating a whole round's candidates in one packed pass.
 
@@ -105,20 +102,11 @@ def _batch_evaluator(circuit: Circuit, table: LeakageTable,
     :func:`~repro.leakage.circuit.leakage_for_vector` (the kernel
     accumulates gates in the same order).
     """
-    if context is None:
-        from repro.sim.packed import PackedSimulator
-
-        sim = PackedSimulator(circuit, library)
-        kernel = lambda pop: sim.population_leakage(pop, table)  # noqa: E731
-    else:
-        kernel = lambda pop: leakage_for_vectors(  # noqa: E731
-            circuit, pop, table, library, context=context)
-
     def evaluate_all(batch: Sequence[Tuple[int, ...]]) -> None:
         fresh = [bits for bits in dict.fromkeys(batch) if bits not in seen]
         if not fresh:
             return
-        leaks = kernel(np.array(fresh, dtype=np.uint8))
+        leaks = context.population_leakage(np.array(fresh, dtype=np.uint8))
         for bits, leak in zip(fresh, leaks):
             seen[bits] = float(leak)
 
@@ -169,15 +157,14 @@ def probability_based_mlv_search(
         raise ValueError("range_fraction must be in (0, 1)")
     obs.count("ivc.mlv.searches")
     with obs.span("ivc.mlv.search", circuit=circuit.name, engine="packed"):
-        library = library or default_library()
-        reference = _window_reference(circuit, table, library, context,
-                                      window_policy)
+        context = context_for(circuit, library, context=context,
+                              leakage_table=table)
+        reference = _window_reference(context, window_policy)
         rng = random.Random(seed)
         pis = circuit.primary_inputs
 
         seen: Dict[Tuple[int, ...], float] = {}
-        evaluate_all = _batch_evaluator(circuit, table, library, context,
-                                        seen)
+        evaluate_all = _batch_evaluator(context, seen)
 
         # Line 0: initial random population.  The whole round is
         # generated before evaluation (evaluation draws no randomness).
@@ -225,15 +212,12 @@ def probability_based_mlv_search(
                            converged=converged, evaluated=len(seen))
 
 
-def _window_reference(circuit: Circuit, table: LeakageTable,
-                      library: Library, context,
-                      window_policy: str) -> Optional[float]:
+def _window_reference(context, window_policy: str) -> Optional[float]:
     """The absolute-window reference leakage, or ``None`` for relative."""
     if window_policy == "relative":
         return None
     if window_policy == "absolute":
-        return expected_leakage(circuit, table, library=library,
-                                context=context)
+        return context.expected_leakage()
     raise ValueError(f"window_policy must be 'relative' or 'absolute', "
                      f"got {window_policy!r}")
 
@@ -250,14 +234,13 @@ def exhaustive_mlv_search(circuit: Circuit, table: LeakageTable,
     The whole truth-input space is evaluated in one bit-parallel
     population pass.
     """
-    library = library or default_library()
     with obs.span("ivc.mlv.exhaustive", circuit=circuit.name,
                   engine="packed"):
-        reference = _window_reference(circuit, table, library, context,
-                                      window_policy)
+        context = context_for(circuit, library, context=context,
+                              leakage_table=table)
+        reference = _window_reference(context, window_policy)
         seen: Dict[Tuple[int, ...], float] = {}
-        evaluate_all = _batch_evaluator(circuit, table, library, context,
-                                        seen)
+        evaluate_all = _batch_evaluator(context, seen)
         evaluate_all([vector_to_bits(circuit, v)
                       for v in all_vectors(circuit)])
         final = _filter_set(seen, range_fraction, max_set_size,
@@ -314,15 +297,17 @@ def select_mlv_for_nbti(circuit: Circuit, mlv: MLVSearchResult,
     """Evaluate aged timing for every MLV in the set and co-select.
 
     Each vector is logic-simulated to fix the standby internal state,
-    then the temperature-aware aged STA runs with that state.  With
-    ``context=`` the candidate simulations done during the MLV search,
-    the stress-duty tables, the gate loads, and the fresh STA are all
-    reused; only one aged arrival propagation runs per candidate.
+    then the temperature-aware aged STA runs with that state.  Through
+    one resolved context the candidate simulations done during the MLV
+    search, the stress-duty tables, the gate loads, and the fresh STA
+    are all reused; only one aged arrival propagation runs per candidate.
     """
     if not mlv.records:
         raise ValueError("empty MLV set")
     if analyzer is None:
         analyzer = context.analyzer if context is not None else AgingAnalyzer()
+    context = context_for(circuit, analyzer.library, analyzer.model,
+                          context=context)
     records: List[MLVTimingRecord] = []
     fresh_delay = None
     for record in mlv.records:

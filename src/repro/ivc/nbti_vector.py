@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cells.leakage import LeakageTable
 from repro.constants import TEN_YEARS
+from repro.context import context_for
 from repro.core.profiles import OperatingProfile
 from repro.leakage.circuit import leakage_for_vector
 from repro.netlist.circuit import Circuit
@@ -113,11 +114,13 @@ def search_min_degradation_vector(circuit: Circuit,
                                   seed: int = 0) -> VectorSearchResult:
     """Probability search minimizing the aged circuit delay."""
     analyzer = analyzer or AgingAnalyzer()
+    context = context_for(circuit, analyzer.library, analyzer.model)
 
     def objective(bits: Tuple[int, ...]) -> float:
         vector = bits_to_vector(circuit, bits)
         return analyzer.aged_timing(circuit, profile, t_total,
-                                    standby=vector).aged_delay
+                                    standby=vector,
+                                    context=context).aged_delay
 
     return probability_search(circuit, objective, n_vectors=n_vectors,
                               max_iterations=max_iterations, seed=seed)
@@ -147,17 +150,22 @@ def leakage_aging_tradeoff(circuit: Circuit, profile: OperatingProfile,
     """
     from repro.ivc.mlv import probability_based_mlv_search
     analyzer = analyzer or AgingAnalyzer()
+    context = context_for(circuit, analyzer.library, analyzer.model,
+                          leakage_table=table)
     mlv = probability_based_mlv_search(circuit, table, seed=seed,
-                                       n_vectors=32, max_set_size=4)
+                                       n_vectors=32, max_set_size=4,
+                                       context=context)
     aging = search_min_degradation_vector(circuit, profile, t_total,
                                           analyzer=analyzer, seed=seed)
 
     def point(label: str, bits: Tuple[int, ...]) -> TradeoffPoint:
         vector = bits_to_vector(circuit, bits)
-        res = analyzer.aged_timing(circuit, profile, t_total, standby=vector)
+        res = analyzer.aged_timing(circuit, profile, t_total, standby=vector,
+                                   context=context)
         return TradeoffPoint(
             label=label, bits=bits,
-            leakage=leakage_for_vector(circuit, vector, table),
+            leakage=leakage_for_vector(circuit, vector, table,
+                                       context=context),
             degradation=res.relative_degradation)
 
     return [point("leakage-optimal", mlv.best.bits),

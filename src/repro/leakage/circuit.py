@@ -16,9 +16,9 @@ import numpy as np
 
 from repro.cells.leakage import LeakageTable
 from repro.cells.library import Library
+from repro.context import context_for, covering_context
 from repro.netlist.circuit import Circuit
 from repro.sim.logic import default_library, evaluate
-from repro.sim.probability import propagate_probabilities
 
 
 def leakage_for_states(circuit: Circuit, states: Dict[str, int],
@@ -41,15 +41,16 @@ def leakage_for_vector(circuit: Circuit, pi_vector: Dict[str, int],
                        context=None) -> float:
     """Total leakage with the circuit parked at a primary-input vector.
 
-    Thin wrapper over the memoized evaluation layer: with ``context=``
-    both the logic simulation and the summed lookup are cached per
-    distinct vector (and the simulation is shared with aged-timing
-    standby queries); a transient context is built otherwise.
+    The scalar reference: with a ``context=`` that covers the call
+    (same circuit, library and ``table``) both the logic simulation and
+    the summed lookup are cached per distinct vector (and the simulation
+    is shared with aged-timing standby queries); without one it
+    simulates and sums directly.
     """
+    context = covering_context(context, circuit, library,
+                               leakage_table=table)
     if context is not None:
-        context.adopt_leakage_table(table)
-        if context.leakage_table is table:
-            return context.leakage_for_vector(pi_vector)
+        return context.leakage_for_vector(pi_vector)
     states = evaluate(circuit, pi_vector, library or default_library())
     return leakage_for_states(circuit, states, table)
 
@@ -69,21 +70,15 @@ def leakage_for_vectors(circuit: Circuit, population, table: LeakageTable,
         population: ``(n_vectors, n_pis)`` 0/1 matrix (or nested
             sequence of bit tuples), PI columns ordered like
             ``circuit.primary_inputs``.
-        context: with a context, results interoperate with the scalar
-            per-vector cache (see
+        context: results interoperate with the per-vector cache of the
+            context :func:`~repro.context.context_for` resolves (see
             :meth:`~repro.context.AnalysisContext.population_leakage`).
 
     Returns:
         float64 array of totals (amperes), one per population row.
     """
-    if context is not None:
-        context.adopt_leakage_table(table)
-        if context.leakage_table is table:
-            return context.population_leakage(population)
-    from repro.sim.packed import PackedSimulator
-
-    sim = PackedSimulator(circuit, library or default_library())
-    return sim.population_leakage(population, table)
+    return context_for(circuit, library, context=context,
+                       leakage_table=table).population_leakage(population)
 
 
 def expected_leakage(circuit: Circuit, table: LeakageTable,
@@ -93,20 +88,12 @@ def expected_leakage(circuit: Circuit, table: LeakageTable,
     """Probability-weighted circuit leakage, eq. (24).
 
     Uses analytically propagated signal probabilities and per-gate pin
-    independence — the paper's lookup-table estimator.  With
-    ``context=`` the propagation and the weighted sum are memoized.
+    independence — the paper's lookup-table estimator.  The propagation
+    and the weighted sum are memoized in the context
+    :func:`~repro.context.context_for` resolves.
     """
-    if context is not None:
-        context.adopt_leakage_table(table)
-        if context.leakage_table is table:
-            return context.expected_leakage(pi_one_prob)
-    library = library or default_library()
-    probs = propagate_probabilities(circuit, pi_one_prob, library)
-    total = 0.0
-    for gate in circuit.gates.values():
-        pin_probs = [probs[net] for net in gate.inputs]
-        total += table.expected_leakage(gate.cell, pin_probs)
-    return total
+    return context_for(circuit, library, context=context,
+                       leakage_table=table).expected_leakage(pi_one_prob)
 
 
 def leakage_bounds_sampled(circuit: Circuit, table: LeakageTable,
@@ -117,8 +104,8 @@ def leakage_bounds_sampled(circuit: Circuit, table: LeakageTable,
 
     A quick profiling helper used in reports: the min is an upper bound
     on the true MLV leakage.  A thin wrapper over the population kernel
-    (:func:`leakage_for_vectors`); with ``context=`` each sampled vector
-    joins the shared per-vector cache.
+    (:func:`leakage_for_vectors`); each sampled vector joins the
+    per-vector cache of the resolved context.
     """
     from repro.sim.vectors import random_vectors
     if n_vectors < 1:

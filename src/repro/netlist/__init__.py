@@ -4,6 +4,7 @@ from repro.netlist.circuit import Circuit, CircuitError, Gate
 from repro.netlist.bench import (
     BenchParseError,
     load_bench,
+    load_circuit,
     load_packaged,
     parse_bench,
     save_bench,
@@ -18,14 +19,13 @@ from repro.netlist.generators import (
     random_logic,
     scale_circuit,
 )
-from repro.netlist.graph_export import from_networkx, to_networkx
 from repro.netlist import iscas85
 
 __all__ = [
     "Circuit", "CircuitError", "Gate",
-    "BenchParseError", "load_bench", "load_packaged", "parse_bench", "save_bench", "write_bench",
+    "BenchParseError", "load_bench", "load_circuit", "load_packaged",
+    "parse_bench", "save_bench", "write_bench",
     "alu_circuit", "array_multiplier", "ecc_circuit", "expand_xors",
     "priority_controller", "random_logic", "scale_circuit",
-    "from_networkx", "to_networkx",
     "iscas85",
 ]

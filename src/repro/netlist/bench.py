@@ -157,6 +157,32 @@ def load_packaged(name: str) -> Circuit:
     return load_bench(path)
 
 
+def load_circuit(name: str) -> Circuit:
+    """Load a circuit by name: the one lookup behind every front end.
+
+    Tries, in order, an ISCAS85 stand-in (``c432`` ...), a packaged
+    netlist (``c17``), then a ``.bench`` file path.
+
+    Raises:
+        ValueError: when ``name`` is none of the three.
+        BenchParseError, CircuitError: for a malformed ``.bench`` file.
+    """
+    from repro.netlist import iscas85
+
+    if name in iscas85.SPECS:
+        return iscas85.load(name)
+    try:
+        return load_packaged(name)
+    except FileNotFoundError:
+        pass
+    path = Path(name)
+    if path.exists():
+        return load_bench(path)
+    known = ", ".join(list(iscas85.NAMES) + ["c17"])
+    raise ValueError(f"unknown circuit {name!r} "
+                     f"(known benchmarks: {known}; or pass a .bench path)")
+
+
 #: Library cell -> ``.bench`` keyword for the writer.
 _CELL_TO_BENCH = {
     "INV": "NOT", "BUF": "BUFF",

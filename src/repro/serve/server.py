@@ -43,11 +43,13 @@ from __future__ import annotations
 import json
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
+from repro.netlist import BenchParseError, CircuitError
 from repro.serve.protocol import (
     DONE,
     FAILED,
@@ -83,8 +85,10 @@ class ServiceObs:
       it does not contain (``tests/test_serve_obs.py`` hammers this).
     * **Deterministic adoption** — worker payloads are admitted through
       monotonically allocated sequence numbers (:meth:`alloc_seq`,
-      handed out at claim time) and flushed into the tracer strictly in
-      sequence order, regardless of which worker finished first.  Two
+      reserved just before the claim) and flushed into the tracer
+      strictly in sequence order, regardless of which worker finished
+      first.  An attempt's queue spans (claim, complete, fail, requeue)
+      are held in its slot (:meth:`hold`) and flush with it.  Two
       servers running the same job sequence produce the same canonical
       RunReport.
     """
@@ -101,6 +105,10 @@ class ServiceObs:
         self._flush_next = 0
         #: seq -> buffered payload (None = released without one).
         self._pending_payloads: Dict[int, Optional[Dict[str, Any]]] = {}
+        #: seq -> main-process spans held until the slot flushes.
+        self._held: Dict[int, List[obs.Span]] = {}
+        #: The slot :meth:`hold` files this thread's spans into.
+        self._local = threading.local()
 
     def count(self, name: str, amount: int = 1, label: str = "") -> None:
         """Increment the named counter (optionally labelled)."""
@@ -122,11 +130,31 @@ class ServiceObs:
         return _LockedSpan(self, name, attributes)
 
     def alloc_seq(self) -> int:
-        """Reserve the next adoption slot (call at claim time)."""
+        """Reserve the next adoption slot (call just before a claim)."""
         with self._lock:
             seq = self._next_seq
             self._next_seq += 1
             return seq
+
+    @contextmanager
+    def hold(self, seq: int) -> Iterator[None]:
+        """Hold the spans this thread records in the block in slot
+        ``seq``; they flush with it, ahead of its worker payload."""
+        previous = getattr(self._local, "slot", None)
+        self._local.slot = seq
+        try:
+            yield
+        finally:
+            self._local.slot = previous
+
+    def _record(self, span: obs.Span) -> None:
+        """File one finished main-process span (caller holds the lock)."""
+        slot = getattr(self._local, "slot", None)
+        if slot is None or slot < self._flush_next:
+            self._tracer.roots.append(span)
+            self._trim()
+        else:
+            self._held.setdefault(slot, []).append(span)
 
     def adopt(self, spans: Optional[List[Dict[str, Any]]] = None,
               metrics: Optional[Dict[str, Any]] = None,
@@ -151,6 +179,8 @@ class ServiceObs:
                 self._pending_payloads[seq] = None if empty else payload
                 while self._flush_next in self._pending_payloads:
                     queued = self._pending_payloads.pop(self._flush_next)
+                    self._tracer.roots.extend(
+                        self._held.pop(self._flush_next, ()))
                     self._flush_next += 1
                     if queued is not None:
                         self._merge_payload(queued)
@@ -245,8 +275,7 @@ class _LockedSpan:
         if exc_type is not None:
             span.attributes["error"] = exc_type.__name__
         with self.hub._lock:
-            self.hub._tracer.roots.append(span)
-            self.hub._trim()
+            self.hub._record(span)
         return False
 
 
@@ -318,14 +347,15 @@ class AnalysisService:
             self._scheduler.join(timeout=10.0)
         for job_id, worker in list(self._workers.items()):
             worker.kill()
+            with self.obs.hold(worker.seq):
+                try:
+                    self.queue.requeue(job_id, structured_error(
+                        "drained", "server shut down mid-attempt; requeued"))
+                except (KeyError, ValueError):
+                    pass
             # Release the adoption slot so buffered payloads behind
             # this killed attempt still flush.
             self.obs.adopt(seq=worker.seq)
-            try:
-                self.queue.requeue(job_id, structured_error(
-                    "drained", "server shut down mid-attempt; requeued"))
-            except (KeyError, ValueError):
-                pass
             worker.close()
             self._workers.pop(job_id, None)
         self.obs.count("serve.drains")
@@ -347,7 +377,7 @@ class AnalysisService:
            returned as-is instead of queuing a duplicate;
         3. a fresh ``queued`` record enters the durable FIFO.
         """
-        from repro.flow.parallel import load_circuit
+        from repro.netlist import load_circuit
 
         with self.obs.span("serve.submit", circuit=circuit):
             loaded = load_circuit(circuit)
@@ -444,9 +474,15 @@ class AnalysisService:
 
     def _launch_ready(self) -> bool:
         launched = False
-        while len(self._workers) < self.config.max_workers:
-            record = self.queue.claim()
+        while (len(self._workers) < self.config.max_workers
+               and self.queue.pending()):
+            # The attempt's queue spans and worker payload share one
+            # adoption slot: they flush in claim order.
+            seq = self.obs.alloc_seq()
+            with self.obs.hold(seq):
+                record = self.queue.claim()
             if record is None:
+                self.obs.adopt(seq=seq)
                 break
             try:
                 bundle = self.bundles.bundle_for(record.circuit,
@@ -455,15 +491,15 @@ class AnalysisService:
                                     timeout_s=record.timeout_s,
                                     fault=record.fault)
             except Exception as exc:
-                self.queue.finish_attempt(
-                    record.job_id,
-                    structured_error("launch-error", str(exc),
-                                     exception=exc.__class__.__name__),
-                    backoff_s=self.config.backoff_s)
+                with self.obs.hold(seq):
+                    self.queue.finish_attempt(
+                        record.job_id,
+                        structured_error("launch-error", str(exc),
+                                         exception=exc.__class__.__name__),
+                        backoff_s=self.config.backoff_s)
+                self.obs.adopt(seq=seq)
                 continue
-            # Adoption slot reserved at launch: worker payloads merge
-            # in claim order, not completion order.
-            worker.seq = self.obs.alloc_seq()
+            worker.seq = seq
             if record.attempts == 1:
                 self.obs.observe("serve.job.queue_wait_seconds",
                                  max(0.0, time.time() - record.created_at))
@@ -486,21 +522,23 @@ class AnalysisService:
             self.obs.observe("serve.job.attempt_seconds",
                              time.monotonic() - worker.started)
             if kind == "ok":
+                with self.obs.hold(worker.seq):
+                    self.store.save_result(record.circuit_fp,
+                                           record.scenario_key,
+                                           payload["numbers"])
+                    self.queue.complete(job_id)
                 self.obs.adopt(spans=payload.get("spans"),
                                metrics=payload.get("metrics"),
                                cache_stats=payload.get("cache_stats"),
                                attributes={"job": job_id},
                                seq=worker.seq)
-                self.store.save_result(record.circuit_fp,
-                                       record.scenario_key,
-                                       payload["numbers"])
-                self.queue.complete(job_id)
             else:
+                self.obs.count(f"serve.attempts_{kind}")
+                with self.obs.hold(worker.seq):
+                    self.queue.finish_attempt(
+                        job_id, payload, backoff_s=self.config.backoff_s)
                 # Release the slot so later payloads are not held back.
                 self.obs.adopt(seq=worker.seq)
-                self.obs.count(f"serve.attempts_{kind}")
-                self.queue.finish_attempt(job_id, payload,
-                                          backoff_s=self.config.backoff_s)
             worker.close()
             self._workers.pop(job_id, None)
         return progressed
@@ -583,7 +621,8 @@ class _Handler(BaseHTTPRequestHandler):
                 timeout_s=body.get("timeout_s"),
                 max_retries=body.get("max_retries"),
                 fault=body.get("fault"))
-        except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        except (KeyError, ValueError, TypeError, json.JSONDecodeError,
+                BenchParseError, CircuitError) as exc:
             self._send(400, {"error": str(exc)})
             return
         self._send(202 if not record.terminal else 200, record.to_dict())

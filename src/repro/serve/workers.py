@@ -235,7 +235,7 @@ class BundleCache:
     def bundle_for(self, circuit_source: str, circuit_fp: str) -> Any:
         """The compiled bundle of one circuit (build-once semantics)."""
         from repro.context import AnalysisContext
-        from repro.flow.parallel import load_circuit
+        from repro.netlist import load_circuit
 
         with self._lock:
             bundle = self._bundles.get(circuit_fp)

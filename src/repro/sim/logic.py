@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.cells.library import Library, build_library
+from repro.context import covering_context
 from repro.netlist.circuit import Circuit
 
 
@@ -61,7 +62,8 @@ def evaluate(circuit: Circuit, pi_values: Dict[str, int],
         library: cell library (defaults to the shared PTM90 library).
         context: an :class:`~repro.context.AnalysisContext` to memoize
             the simulation in (one sim per distinct vector, shared with
-            leakage and aged-timing standby queries).
+            leakage and aged-timing standby queries) when it covers the
+            call; otherwise ignored.
 
     Returns:
         net name -> logic value for all PIs and gate outputs.
@@ -70,6 +72,7 @@ def evaluate(circuit: Circuit, pi_values: Dict[str, int],
         KeyError: if a primary input is missing from ``pi_values``.
         ValueError: on non-binary values.
     """
+    context = covering_context(context, circuit, library)
     if context is not None:
         return dict(context.standby_states(pi_values))
     library = library or default_library()

@@ -10,8 +10,8 @@ cross-check elsewhere.
 The public functions are thin wrappers over the shared memoized
 evaluation layer (:mod:`repro.context`): pass ``context=`` to join an
 existing :class:`~repro.context.AnalysisContext` and reuse its caches;
-without one a transient context is built so behavior (and signatures)
-stay exactly as before.
+:func:`~repro.context.context_for` builds a transient context when none
+is given or the given one does not cover the call.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cells.library import Library
+from repro.context import context_for
 from repro.netlist.circuit import Circuit
 from repro.sim.logic import default_library, evaluate_batch
 
@@ -98,17 +99,14 @@ def propagate_probabilities(circuit: Circuit,
         pi_one_prob: P(pi = 1) per primary input; defaults to 0.5
             everywhere (the paper's active-mode setting).
         context: an :class:`~repro.context.AnalysisContext` whose
-            memoized probabilities should be used; a transient one is
-            built otherwise.
+            memoized probabilities should be used when it covers the
+            call; a transient one is built otherwise.
 
     For each gate, P(out = 1) = Σ over truth-table rows with output 1 of
     the product of per-pin probabilities.  Reconvergent fan-out makes
     this approximate, exactly as in the paper's flow.
     """
-    if context is None:
-        from repro.context import AnalysisContext
-
-        context = AnalysisContext(circuit, library=library)
+    context = context_for(circuit, library, context=context)
     return dict(context.probabilities(pi_one_prob))
 
 
@@ -118,10 +116,7 @@ def estimate_probabilities(circuit: Circuit, n_vectors: int = 2048,
                            library: Optional[Library] = None, *,
                            context=None) -> Dict[str, float]:
     """Monte-Carlo P(net = 1): the paper's statistical estimator."""
-    if context is None:
-        from repro.context import AnalysisContext
-
-        context = AnalysisContext(circuit, library=library)
+    context = context_for(circuit, library, context=context)
     return dict(context.probabilities(pi_one_prob, method="monte_carlo",
                                       n_vectors=n_vectors, seed=seed))
 
@@ -132,14 +127,11 @@ def estimate_activity(circuit: Circuit, n_vectors: int = 2048, seed: int = 0,
     """Toggle rate per net: fraction of consecutive random vectors that
     flip the net.  Used for dynamic-power-flavoured reports.
 
-    With ``context=`` the estimate is memoized per ``(n_vectors, seed)``
-    in the shared :class:`~repro.context.AnalysisContext`; a transient
-    context is built otherwise, matching the other wrappers here.
+    The estimate is memoized per ``(n_vectors, seed)`` in the context
+    :func:`~repro.context.context_for` resolves, matching the other
+    wrappers here.
     """
-    if context is None:
-        from repro.context import AnalysisContext
-
-        context = AnalysisContext(circuit, library=library)
+    context = context_for(circuit, library, context=context)
     return dict(context.activity(n_vectors=n_vectors, seed=seed))
 
 

@@ -25,10 +25,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cells.library import Library
+from repro.context import context_for
 from repro.netlist.circuit import Circuit
-from repro.sim.logic import default_library, evaluate_batch
+from repro.sim.logic import evaluate_batch
 from repro.sleep.sizing import K_TRIODE_P, max_virtual_rail_drop
-from repro.sta.analysis import analyze, gate_loads
 
 
 @dataclass(frozen=True)
@@ -90,12 +90,11 @@ def clustered_design(circuit: Circuit, n_clusters: int, beta: float, *,
 
     All clusters share the eq. (28) drop budget (they gate the same
     logic, so the worst per-gate slowdown bound applies uniformly).
-    With ``context=`` the gate loads and the fresh STA come from the
-    shared memo instead of being rebuilt per call.
+    The gate loads and the fresh STA come from the memo of the context
+    :func:`~repro.context.context_for` resolves.
     """
-    if context is not None and library is None:
-        library = context.library
-    library = library or default_library()
+    context = context_for(circuit, library, context=context)
+    library = context.library
     tech = library.tech
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must be in (0, 1)")
@@ -103,12 +102,8 @@ def clustered_design(circuit: Circuit, n_clusters: int, beta: float, *,
     if st_overdrive <= 0:
         raise ValueError("sleep transistor has no overdrive")
     clusters = cluster_gates(circuit, n_clusters, policy)
-    if context is not None and context.library is library:
-        loads = context.gate_loads()
-        timing = context.fresh_timing()
-    else:
-        loads = gate_loads(circuit, library)
-        timing = analyze(circuit, library, loads=loads)
+    loads = context.gate_loads()
+    timing = context.fresh_timing()
     period = timing.circuit_delay
     bin_width = period / bins
 

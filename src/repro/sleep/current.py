@@ -29,9 +29,9 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.cells.library import Library
+from repro.context import context_for
 from repro.netlist.circuit import Circuit
-from repro.sim.logic import default_library, evaluate_batch
-from repro.sta.analysis import _EDGES, analyze, gate_loads
+from repro.sim.logic import evaluate_batch
 
 
 @dataclass(frozen=True)
@@ -71,22 +71,18 @@ def estimate_peak_current(circuit: Circuit, *, n_pairs: int = 128,
         bins: time bins across the critical delay; the peak is read per
             bin, so more bins = sharper (and larger) peaks.
         context: shared :class:`~repro.context.AnalysisContext`
-            supplying the memoized gate loads and fresh STA.
+            supplying the memoized gate loads and fresh STA when it
+            covers the call (:func:`~repro.context.context_for`).
     """
     if n_pairs < 1:
         raise ValueError("need at least one vector pair")
     if bins < 1:
         raise ValueError("need at least one time bin")
-    if context is not None and library is None:
-        library = context.library
-    library = library or default_library()
+    context = context_for(circuit, library, context=context)
+    library = context.library
     tech = library.tech
-    if context is not None and context.library is library:
-        loads = context.gate_loads()
-        timing = context.fresh_timing()
-    else:
-        loads = gate_loads(circuit, library)
-        timing = analyze(circuit, library, loads=loads)
+    loads = context.gate_loads()
+    timing = context.fresh_timing()
     period = timing.circuit_delay
 
     bin_width = period / bins

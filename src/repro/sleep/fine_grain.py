@@ -24,11 +24,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.cells.library import Library
+from repro.context import context_for
 from repro.netlist.circuit import Circuit
-from repro.sim.logic import default_library
 from repro.sleep.sizing import K_TRIODE_P
-from repro.sta.analysis import analyze, gate_loads
-from repro.sta.compiled import compiled_timing_for
 
 
 @dataclass(frozen=True)
@@ -86,27 +84,22 @@ def design_fine_grain(circuit: Circuit, beta: float, *,
         search_steps: binary-search iterations on the slack share.
         context: shared :class:`~repro.context.AnalysisContext`
             supplying the memoized loads, fresh STA, and compiled
-            timing kernel.
+            timing kernel when it covers the call
+            (:func:`~repro.context.context_for`).
 
     Raises:
         ValueError: for a non-positive budget or collapsed ST overdrive.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must be in (0, 1)")
-    if context is not None and library is None:
-        library = context.library
-    library = library or default_library()
-    tech = library.tech
+    context = context_for(circuit, library, context=context)
+    tech = context.library.tech
     st_overdrive = tech.vdd - vth_st
     if st_overdrive <= 0:
         raise ValueError("sleep transistor has no overdrive")
-    if context is not None and context.library is library:
-        loads = context.gate_loads()
-        base = context.fresh_timing()
-    else:
-        loads = gate_loads(circuit, library)
-        base = analyze(circuit, library, loads=loads)
-    ct = compiled_timing_for(circuit, library, context)
+    loads = context.gate_loads()
+    base = context.fresh_timing()
+    ct = context.compiled_timing()
     overdrive = tech.vdd - tech.pmos.vth0
     budget_delay = base.circuit_delay * (1.0 + beta)
 
@@ -174,17 +167,10 @@ def uniform_fine_grain_area(circuit: Circuit, beta: float, *,
 
     The baseline the slack-aware design is compared against.
     """
-    if context is not None and library is None:
-        library = context.library
-    library = library or default_library()
-    tech = library.tech
-    if context is not None and context.library is library:
-        loads = context.gate_loads()
-        ct = context.compiled_timing()
-    else:
-        from repro.sta.compiled import CompiledTiming
-        loads = gate_loads(circuit, library)
-        ct = CompiledTiming(circuit, library, loads=loads)
+    context = context_for(circuit, library, context=context)
+    tech = context.library.tech
+    loads = context.gate_loads()
+    ct = context.compiled_timing()
     overdrive = tech.vdd - tech.pmos.vth0
     drop = _drop_for_slowdown(beta, overdrive, tech.alpha)
     st_overdrive = tech.vdd - vth_st

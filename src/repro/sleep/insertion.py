@@ -27,17 +27,16 @@ from typing import Dict, Optional
 from repro import obs
 from repro.cells.library import Library
 from repro.constants import TEN_YEARS
+from repro.context import context_for
 from repro.core.aging import DEFAULT_MODEL, NbtiModel
 from repro.core.profiles import DeviceStress, OperatingProfile
 from repro.netlist.circuit import Circuit
-from repro.sim.logic import default_library
 from repro.sleep.sizing import (
     K_TRIODE_P,
     max_virtual_rail_drop,
     nbti_aware_aspect_ratio,
     st_aspect_ratio,
 )
-from repro.sta.analysis import analyze, gate_loads
 from repro.sta.degradation import ALL_ONE, AgingAnalyzer
 
 
@@ -107,20 +106,15 @@ def estimate_block_current(circuit: Circuit,
     "is impossible for large circuits" (Sec. 4.4.1); like the BBSTI
     literature we estimate it as the charge moved by one full transition
     wave spread over the critical delay, derated by a simultaneity
-    factor.  With ``context=`` the loads and the fresh STA come from the
-    shared memo.
+    factor.  The loads and the fresh STA come from the memo of the
+    context :func:`~repro.context.context_for` resolves.
     """
     if not 0.0 < simultaneity <= 1.0:
         raise ValueError("simultaneity must be in (0, 1]")
-    if context is None or (library is not None
-                           and context.library is not library):
-        from repro.context import AnalysisContext
-
-        context = AnalysisContext(circuit, library=library)
-    library = context.library
+    context = context_for(circuit, library, context=context)
     loads = context.gate_loads()
-    delay = context.fresh_timing().circuit_delay
-    total_charge = sum(loads.values()) * library.tech.vdd
+    delay = context.fresh_delay()
+    total_charge = sum(loads.values()) * context.library.tech.vdd
     return simultaneity * total_charge / delay
 
 
@@ -140,8 +134,8 @@ def design_sleep_transistor(circuit: Circuit, style: SleepStyle,
         context: shared :class:`~repro.context.AnalysisContext` for the
             block-current estimate (loads + fresh STA).
     """
-    library = library or (context.library if context is not None
-                          else default_library())
+    context = context_for(circuit, library, context=context)
+    library = context.library
     i_on = estimate_block_current(circuit, library, context=context)
     v_st = max_virtual_rail_drop(beta, library.tech)
     if nbti_margin > 0:
@@ -174,11 +168,13 @@ def gated_aged_delay(circuit: Circuit, design: SleepTransistorDesign,
 
     Internal gates age only from active-mode stress (standby parks every
     PMOS at Vgs ~ 0 in all three styles); headers additionally raise the
-    virtual-rail drop as they age.  With ``context=`` the per-gate
-    shifts and loads are memoized across lifetime sweep points.
+    virtual-rail drop as they age.  The per-gate shifts and the
+    compiled kernel come from the context
+    :func:`~repro.context.context_for` resolves, so a shared context
+    memoizes them across lifetime sweep points.
     """
     analyzer = analyzer or AgingAnalyzer(library=library, model=model)
-    library = library or default_library()
+    context = context_for(circuit, library, analyzer.model, context=context)
     obs.count("sleep.gated_points")
     with obs.span("sleep.gated_point", t=float(t_total),
                   style=design.style.value):
@@ -191,19 +187,11 @@ def gated_aged_delay(circuit: Circuit, design: SleepTransistorDesign,
             st_shift = model.delta_vth(profile, device, t_total,
                                        design.vth_st)
         v_st = design.virtual_rail_drop(st_shift)
-        # Only the worst-arrival scalar is needed here, so matching
-        # contexts read it straight off the compiled kernel instead of
-        # paying analyze()'s full slack/arrival-map assembly (the
-        # ``sta.compiled.assemble`` span prices what this skips); both
-        # routes floor the same propagated PO arrivals at 0.0, so the
-        # floats are identical.
-        if (context is not None and context.circuit is circuit
-                and context.library is library):
-            delay = context.compiled_timing().delay(shifts,
-                                                    supply_drop=v_st)
-        else:
-            delay = analyze(circuit, library, delta_vth=shifts,
-                            supply_drop=v_st, context=context).circuit_delay
+        # Only the worst-arrival scalar is needed here, so it is read
+        # straight off the compiled kernel instead of paying analyze()'s
+        # full slack/arrival-map assembly (the ``sta.compiled.assemble``
+        # span prices what this skips).
+        delay = context.compiled_timing().delay(shifts, supply_drop=v_st)
     return GatedTimingPoint(time=t_total, st_delta_vth=st_shift,
                             v_st=v_st, circuit_delay=delay)
 
@@ -227,12 +215,7 @@ def gated_lifetime_series(circuit: Circuit, design: SleepTransistorDesign,
     import numpy as np
 
     analyzer = analyzer or AgingAnalyzer(library=library, model=model)
-    library = library or default_library()
-    if (context is None or context.circuit is not circuit
-            or context.library is not library):
-        from repro.context import AnalysisContext
-
-        context = AnalysisContext(circuit, library=library)
+    context = context_for(circuit, library, analyzer.model, context=context)
     times = [float(t) for t in times]
     with obs.span("sleep.gated_series", points=len(times),
                   style=design.style.value):

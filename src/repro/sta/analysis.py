@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.cells.library import Library
+from repro.context import context_for, covering_context
 from repro.netlist.circuit import Circuit
 from repro.sim.logic import default_library
 
@@ -46,14 +47,11 @@ def gate_loads(circuit: Circuit, library: Optional[Library] = None,
                context=None) -> Dict[str, float]:
     """Output load (farads) per gate: fanout pin caps + wire + PO pins.
 
-    Thin wrapper over the memoized evaluation layer: pass ``context=``
-    to reuse an :class:`~repro.context.AnalysisContext`'s cached loads
-    (a fresh copy is returned either way).
+    Thin wrapper over the memoized evaluation layer: the loads come
+    from the context :func:`~repro.context.context_for` resolves (a
+    fresh copy is returned either way).
     """
-    if context is None:
-        from repro.context import AnalysisContext
-
-        context = AnalysisContext(circuit, library=library)
+    context = context_for(circuit, library, context=context)
     return dict(context.gate_loads(wire_cap=wire_cap, po_cap=po_cap))
 
 
@@ -148,7 +146,8 @@ def analyze(circuit: Circuit, library: Optional[Library] = None, *,
             ``"per_edge"`` is the physically-finer ablation: only
             pull-up (rising) stages slow down, via the cell model.
         context: an :class:`~repro.context.AnalysisContext` supplying
-            the memoized gate loads (and the library, when not given).
+            the memoized gate loads and compiled kernel (and the library,
+            when not given) when it covers the call; otherwise ignored.
         engine: ``"auto"`` (default) routes per-gate runs through the
             context's compiled NumPy kernel
             (:class:`repro.sta.compiled.CompiledTiming`) when one is
@@ -170,10 +169,10 @@ def analyze(circuit: Circuit, library: Optional[Library] = None, *,
     if engine == "compiled" and aging_mode == "per_edge":
         raise ValueError("per_edge aging has no compiled kernel; "
                          "use engine='scalar'")
+    context = covering_context(context, circuit, library)
     if aging_mode == "per_gate" and engine != "scalar":
         compiled = None
-        if (context is not None and context.circuit is circuit
-                and (library is None or library is context.library)):
+        if context is not None:
             candidate = context.compiled_timing()
             # Caller-supplied loads must match the compiled artifact's
             # (value equality: the kernel's delays are baked from them).
@@ -190,9 +189,8 @@ def analyze(circuit: Circuit, library: Optional[Library] = None, *,
                                     required_time=required_time)
     obs.count("sta.analyze.engine", label="scalar")
     if context is not None:
-        if library is None:
-            library = context.library
-        if loads is None and library is context.library:
+        library = context.library
+        if loads is None:
             loads = context.gate_loads()
     library = library or default_library()
     tech = library.tech

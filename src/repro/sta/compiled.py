@@ -781,19 +781,6 @@ class CompiledTiming:
                 f"candidates={self.fanin_idx.size})")
 
 
-def compiled_timing_for(circuit: Circuit, library: Library,
-                        context=None) -> CompiledTiming:
-    """The kernel a flow times ``circuit`` with under ``library``.
-
-    The context's memoized artifact when ``context`` covers exactly
-    this circuit and library, else a fresh lowering with default loads.
-    """
-    if (context is not None and context.circuit is circuit
-            and context.library is library):
-        return context.compiled_timing()
-    return CompiledTiming(circuit, library)
-
-
 class TimingSurface:
     """Array-side query surface over one propagated STA scenario.
 

@@ -16,7 +16,7 @@ Sec. 3.3), then re-runs STA with those shifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -27,12 +27,13 @@ from repro.cells.stress import (
     stress_under_vector,
 )
 from repro.core.aging import DEFAULT_MODEL, NbtiModel
+from repro.context import context_for
 from repro.core.aging_compiled import CompiledNbtiModel
 from repro.core.profiles import DeviceStress, OperatingProfile
 from repro.netlist.circuit import Circuit
 from repro.sim.logic import default_library, evaluate
 from repro.sim.probability import propagate_probabilities
-from repro.sta.analysis import TimingResult, analyze, gate_loads
+from repro.sta.analysis import TimingResult, analyze
 
 #: Sentinel standby-state settings matching the paper's bounding cases.
 #: They act at the *device* level: ALL_ZERO drives every PMOS gate in
@@ -53,18 +54,29 @@ def standby_net_states(circuit: Circuit, standby: StandbyStates,
     ``ALL_ZERO`` / ``ALL_ONE`` force every net (the bounding cases); a
     dict of primary-input bits is logic-simulated through the circuit.
     Note the bounding cases are additionally special-cased at the device
-    level inside :meth:`AgingAnalyzer.gate_shifts`.  With ``context=``
-    the simulation is memoized per distinct vector.
+    level inside :meth:`AgingAnalyzer.gate_shifts`.  The simulation is
+    memoized per distinct vector in the context
+    :func:`~repro.context.context_for` resolves.
     """
-    if context is not None:
-        return dict(context.standby_states(standby))
-    if standby == ALL_ZERO:
-        return {net: 0 for net in circuit.nets}
-    if standby == ALL_ONE:
-        return {net: 1 for net in circuit.nets}
+    return dict(context_for(circuit, library,
+                            context=context).standby_states(standby))
+
+
+def _standby_vectors(standby: StandbyStates
+                     ) -> Tuple[Optional[bool], List[Dict[str, int]]]:
+    """``(force_all, vectors)``: ``True``/``False`` for ALL_ZERO/ALL_ONE
+    (every PMOS driven 0/1), else ``None`` and the PI vectors."""
     if isinstance(standby, str):
+        if standby == ALL_ZERO:
+            return True, []
+        if standby == ALL_ONE:
+            return False, []
         raise ValueError(f"unknown standby setting {standby!r}")
-    return evaluate(circuit, standby, library)
+    if isinstance(standby, dict):
+        return None, [standby]
+    if not standby:
+        raise ValueError("empty standby vector sequence")
+    return None, list(standby)
 
 
 class CompiledShiftPlan:
@@ -157,9 +169,10 @@ class CompiledShiftPlan:
         """Per-device standby stress fraction over rotated standby maps.
 
         ``stressed_lookup(cell_name, bits)`` returns the stressed PMOS
-        names (the context's memoized table, or a direct
-        :func:`stress_under_vector` walk).  Mirrors the scalar loop's
-        count-then-divide arithmetic so the fractions are bit-equal.
+        names (the context's memoized
+        :meth:`~repro.context.AnalysisContext.standby_stress` table).
+        Mirrors the scalar loop's count-then-divide arithmetic so the
+        fractions are bit-equal.
         """
         frac = np.zeros(self.n_devices)
         for states in state_maps:
@@ -192,13 +205,9 @@ class AgingAnalyzer:
     library: Optional[Library] = None
     model: NbtiModel = DEFAULT_MODEL
 
-    def _lib(self) -> Library:
-        return self.library or default_library()
-
     def gate_shifts(self, circuit: Circuit, profile: OperatingProfile,
                     t_total: float, *,
                     standby: StandbyStates = ALL_ZERO,
-                    active_probs: Optional[Dict[str, float]] = None,
                     context=None,
                     engine: str = "auto") -> Dict[str, float]:
         """Worst-PMOS dVth (volts) per gate after ``t_total`` seconds.
@@ -208,19 +217,19 @@ class AgingAnalyzer:
                 (see :func:`standby_net_states`), or a *sequence* of PI
                 vectors rotated across standby periods (Abella-style MLV
                 alternation [23]: each device's standby stress becomes
-                the fraction of vectors that stress it).
-            active_probs: P(net = 1) during active mode; computed from
-                SP = 0.5 inputs when omitted (the paper's setting).
+                the fraction of vectors that stress it).  Active-mode
+                stress comes from SP = 0.5 inputs (the paper's setting).
             context: an :class:`~repro.context.AnalysisContext` whose
-                memoized probabilities, stress-duty tables, standby
-                simulations, per-cell standby-stress sets, and flattened
-                shift plan are reused.  Ignored for the probability side
-                when an explicit ``active_probs`` is supplied.
+                memoized stress-duty tables, standby simulations,
+                per-cell standby-stress sets, and flattened shift plan
+                are reused when it covers the call
+                (:func:`~repro.context.context_for`).
             engine: ``"auto"``/``"compiled"`` evaluate every PMOS in one
                 :class:`~repro.core.aging_compiled.CompiledNbtiModel`
-                call over a :class:`CompiledShiftPlan`; ``"scalar"``
-                keeps the historic per-device Python loop, which is the
-                bit-identical oracle.
+                call over the context's :class:`CompiledShiftPlan`;
+                ``"scalar"`` is the bit-identical oracle, a per-gate,
+                per-device Python loop that reads nothing from the
+                context.
         """
         if engine not in ("auto", "compiled", "scalar"):
             raise ValueError(f"engine must be 'auto', 'compiled' or "
@@ -228,158 +237,90 @@ class AgingAnalyzer:
         obs.count("aging.gate_shift_queries", label=engine)
         with obs.span("aging.gate_shifts", circuit=circuit.name,
                       engine=engine):
-            library = self._lib()
-            if context is not None and context.library is not library:
-                # A context bound to a different technology must not feed
-                # this analyzer: fall back to direct computation.
-                context = None
-            vth0 = library.tech.pmos.vth0
-            duty_table: Optional[Dict[str, Dict[str, float]]] = None
-            if context is not None and active_probs is None:
-                duty_table = context.stress_duties()
-            elif active_probs is None:
-                active_probs = propagate_probabilities(circuit,
-                                                       library=library)
-            force_all = None
-            state_maps: list = []
-            if isinstance(standby, str):
-                if standby == ALL_ZERO:
-                    force_all = True    # every PMOS driven 0 -> stressed
-                elif standby == ALL_ONE:
-                    force_all = False   # every PMOS driven 1 -> relaxing
-                else:
-                    raise ValueError(f"unknown standby setting {standby!r}")
-            elif isinstance(standby, dict):
-                state_maps = [standby_net_states(circuit, standby, library,
-                                                 context=context)]
+            force_all, vectors = _standby_vectors(standby)
+            if engine == "scalar":
+                return self._scalar_shifts(circuit, profile, t_total,
+                                           force_all, vectors)
+            ctx = context_for(circuit, self.library, self.model,
+                              context=context)
+            plan = ctx.aging_plan()
+            if force_all is None:
+                fractions = plan.accumulate_fractions(
+                    [ctx.standby_states(v) for v in vectors],
+                    ctx.standby_stress)
             else:
-                if not standby:
-                    raise ValueError("empty standby vector sequence")
-                state_maps = [standby_net_states(circuit, v, library,
-                                                 context=context)
-                              for v in standby]
-            if engine != "scalar":
-                return self._compiled_shifts(circuit, profile, t_total,
-                                             vth0, duty_table, active_probs,
-                                             force_all, state_maps, context)
-            shifts: Dict[str, float] = {}
-            for gate in circuit.gates.values():
-                cell = library.get(gate.cell)
-                if duty_table is not None:
-                    duties = duty_table[gate.name]
-                else:
-                    pin_probs = {pin: active_probs[net]
-                                 for pin, net in zip(cell.inputs,
-                                                     gate.inputs)}
-                    duties = stress_probabilities_for_cell(cell, pin_probs)
-                fractions: Dict[str, float] = {}
-                if force_all is None:
-                    for states in state_maps:
-                        standby_bits = tuple(states[net]
-                                             for net in gate.inputs)
-                        if context is not None:
-                            stressed = context.standby_stress(gate.cell,
-                                                              standby_bits)
-                        else:
-                            stressed = stress_under_vector(cell,
-                                                           standby_bits)
-                        for name in stressed:
-                            fractions[name] = fractions.get(name, 0.0) + 1.0
-                    for name in fractions:
-                        fractions[name] /= len(state_maps)
-                elif force_all:
-                    fractions = {m.name: 1.0 for m in cell.pmos_devices()}
-                worst = 0.0
-                for mosfet in cell.pmos_devices():
-                    device = DeviceStress(
-                        active_stress_duty=duties.get(mosfet.name, 0.0),
-                        standby_stressed=fractions.get(mosfet.name, 0.0),
-                    )
-                    dv = self.model.delta_vth(profile, device, t_total,
-                                              vth0)
-                    worst = max(worst, dv)
-                shifts[gate.name] = worst
-            return shifts
+                fractions = plan.uniform_fractions(1.0 if force_all
+                                                   else 0.0)
+            kernel = CompiledNbtiModel(self.model)
+            dv = kernel.delta_vth(profile, plan.duties, fractions, t_total,
+                                  ctx.library.tech.pmos.vth0)
+            worst = plan.worst_per_gate(dv)
+            return {name: float(w) for name, w in zip(plan.gate_names, worst)}
 
-    def _compiled_shifts(self, circuit, profile, t_total, vth0, duty_table,
-                         active_probs, force_all, state_maps, context
-                         ) -> Dict[str, float]:
-        """The vectorized gate_shifts body (one kernel call per query)."""
-        library = self._lib()
-        if context is not None and duty_table is not None:
-            plan = context.aging_plan()
-        else:
-            if duty_table is None:
-                duty_table = {}
-                for gate in circuit.gates.values():
-                    cell = library.get(gate.cell)
-                    pin_probs = {pin: active_probs[net]
-                                 for pin, net in zip(cell.inputs,
-                                                     gate.inputs)}
-                    duty_table[gate.name] = stress_probabilities_for_cell(
-                        cell, pin_probs)
-            plan = CompiledShiftPlan(circuit, library, duty_table)
-        if force_all is True:
-            fractions = plan.uniform_fractions(1.0)
-        elif force_all is False:
-            fractions = plan.uniform_fractions(0.0)
-        else:
-            if context is not None:
-                lookup = context.standby_stress
-            else:
-                def lookup(cell_name, bits):
-                    return stress_under_vector(library.get(cell_name), bits)
-            fractions = plan.accumulate_fractions(state_maps, lookup)
-        kernel = CompiledNbtiModel(self.model)
-        dv = kernel.delta_vth(profile, plan.duties, fractions, t_total, vth0)
-        worst = plan.worst_per_gate(dv)
-        return {name: float(w) for name, w in zip(plan.gate_names, worst)}
+    def _scalar_shifts(self, circuit: Circuit, profile: OperatingProfile,
+                       t_total: float, force_all: Optional[bool],
+                       vectors: List[Dict[str, int]]) -> Dict[str, float]:
+        """The gate-shift oracle: per gate, per PMOS, from first principles.
+
+        Per-gate :func:`stress_probabilities_for_cell` over
+        :func:`propagate_probabilities`, :func:`evaluate` plus
+        :func:`stress_under_vector` for the standby states, and
+        :meth:`NbtiModel.delta_vth` per device.
+        """
+        library = self.library or default_library()
+        vth0 = library.tech.pmos.vth0
+        probs = propagate_probabilities(circuit, library=library)
+        state_maps = [evaluate(circuit, v, library) for v in vectors]
+        shifts: Dict[str, float] = {}
+        for gate in circuit.gates.values():
+            cell = library.get(gate.cell)
+            pin_probs = {pin: probs[net]
+                         for pin, net in zip(cell.inputs, gate.inputs)}
+            duties = stress_probabilities_for_cell(cell, pin_probs)
+            fractions: Dict[str, float] = {}
+            if force_all is None:
+                for states in state_maps:
+                    bits = tuple(states[net] for net in gate.inputs)
+                    for name in stress_under_vector(cell, bits):
+                        fractions[name] = fractions.get(name, 0.0) + 1.0
+                for name in fractions:
+                    fractions[name] /= len(state_maps)
+            elif force_all:
+                fractions = {m.name: 1.0 for m in cell.pmos_devices()}
+            worst = 0.0
+            for mosfet in cell.pmos_devices():
+                device = DeviceStress(
+                    active_stress_duty=duties.get(mosfet.name, 0.0),
+                    standby_stressed=fractions.get(mosfet.name, 0.0),
+                )
+                worst = max(worst, self.model.delta_vth(profile, device,
+                                                        t_total, vth0))
+            shifts[gate.name] = worst
+        return shifts
 
     def aged_timing(self, circuit: Circuit, profile: OperatingProfile,
                     t_total: float, *,
                     standby: StandbyStates = ALL_ZERO,
-                    active_probs: Optional[Dict[str, float]] = None,
                     supply_drop: float = 0.0,
-                    loads: Optional[Dict[str, float]] = None,
                     context=None) -> "AgedTimingResult":
         """Fresh + aged STA in one call.
 
-        With ``context=`` the gate loads, the fresh STA (per rail drop),
-        and the per-gate shifts (per standby spec) all come from the
-        shared memo; only the aged arrival propagation runs per call.
+        The fresh STA (per rail drop) and the per-gate shifts (per
+        standby spec) come from the memo of the context
+        :func:`~repro.context.context_for` resolves; only the aged
+        arrival propagation runs per call.
         """
-        library = self._lib()
-        if context is not None and context.library is not library:
-            context = None
-        if context is not None:
-            if loads is None:
-                loads = context.gate_loads()
-            fresh = context.fresh_timing(supply_drop)
-            if active_probs is None and context.model == self.model:
-                shifts = context.gate_shifts(profile, t_total,
-                                             standby=standby)
-            else:
-                shifts = self.gate_shifts(circuit, profile, t_total,
-                                          standby=standby,
-                                          active_probs=active_probs,
-                                          context=context)
-        else:
-            loads = loads if loads is not None else gate_loads(circuit,
-                                                               library)
-            fresh = analyze(circuit, library, loads=loads,
-                            supply_drop=supply_drop)
-            shifts = self.gate_shifts(circuit, profile, t_total,
-                                      standby=standby,
-                                      active_probs=active_probs)
-        aged = analyze(circuit, library, delta_vth=shifts, loads=loads,
-                       supply_drop=supply_drop, context=context)
+        ctx = context_for(circuit, self.library, self.model, context=context)
+        fresh = ctx.fresh_timing(supply_drop)
+        shifts = ctx.gate_shifts(profile, t_total, standby=standby)
+        aged = analyze(circuit, ctx.library, delta_vth=shifts,
+                       supply_drop=supply_drop, context=ctx)
         return AgedTimingResult(circuit=circuit, fresh=fresh, aged=aged,
                                 shifts=shifts)
 
     def aged_delays(self, circuit: Circuit, profile: OperatingProfile,
                     t_total: float, *,
                     standby: StandbyStates = ALL_ZERO,
-                    active_probs: Optional[Dict[str, float]] = None,
                     supply_drop: float = 0.0,
                     context=None) -> "AgedDelaySummary":
         """Fresh/aged circuit delay and worst shift, array path only.
@@ -392,24 +333,11 @@ class AgingAnalyzer:
         kernel time.  Use :meth:`aged_timing` when per-net arrivals or
         slacks are actually needed.
         """
-        from repro.sta.compiled import CompiledTiming
-
-        library = self._lib()
-        if context is not None and context.library is not library:
-            context = None
+        ctx = context_for(circuit, self.library, self.model, context=context)
         with obs.span("aging.aged_delays", circuit=circuit.name):
-            if (context is not None and active_probs is None
-                    and context.model == self.model):
-                ct = context.compiled_timing()
-                shift_vec = context.gate_shift_vector(profile, t_total,
-                                                      standby=standby)
-            else:
-                ct = CompiledTiming(circuit, library)
-                shifts = self.gate_shifts(circuit, profile, t_total,
-                                          standby=standby,
-                                          active_probs=active_probs,
-                                          context=context)
-                shift_vec = ct.gate_vector(shifts, 0.0)
+            ct = ctx.compiled_timing()
+            shift_vec = ctx.gate_shift_vector(profile, t_total,
+                                              standby=standby)
             fresh = ct.surface(supply_drop=supply_drop).circuit_delay
             aged = ct.surface(delta_vth=shift_vec,
                               supply_drop=supply_drop).circuit_delay

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cells.library import Library
+from repro.context import context_for
 from repro.netlist.circuit import Circuit
-from repro.sim.logic import default_library
-from repro.sta.analysis import _EDGES, _input_edges_for, analyze, gate_loads
+from repro.sta.analysis import _EDGES, _input_edges_for, analyze
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,8 @@ def enumerate_paths(circuit: Circuit, k: int = 10, *,
         delta_vth: per-gate aged shifts; paths are ranked by *aged*
             delay when given (per-gate eq. 22 mode).
         context: shared :class:`~repro.context.AnalysisContext`
-            supplying the memoized loads and STA.
+            supplying the memoized STA and compiled kernel when it
+            covers the call (:func:`~repro.context.context_for`).
 
     The search is exact: a max-heap of partial paths grown backward from
     every PO endpoint, keyed by (accumulated delay + arrival upper bound
@@ -58,30 +59,16 @@ def enumerate_paths(circuit: Circuit, k: int = 10, *,
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if context is not None and library is None:
-        library = context.library
-    library = library or default_library()
-    if context is not None and (context.circuit is not circuit
-                                or context.library is not library):
-        context = None
-    if context is not None:
-        loads = context.gate_loads()
-        base = (context.fresh_timing() if delta_vth is None
-                else analyze(circuit, library, delta_vth=delta_vth,
-                             context=context))
-    else:
-        loads = gate_loads(circuit, library)
-        base = analyze(circuit, library, delta_vth=delta_vth, loads=loads)
+    context = context_for(circuit, library, context=context)
+    base = (context.fresh_timing() if delta_vth is None
+            else analyze(circuit, context.library, delta_vth=delta_vth,
+                         context=context))
     delta_vth = delta_vth or {}
 
     # Aged per-gate delays per output edge off the kernel's memoized
     # base-delay vector (matching analyze(): same eq. 22 operand order,
     # so the path delays recompose the arrivals bit-for-bit).
-    if context is not None:
-        ct = context.compiled_timing()
-    else:
-        from repro.sta.compiled import CompiledTiming
-        ct = CompiledTiming(circuit, library, loads=loads)
+    ct = context.compiled_timing()
     aged = ct.delay_vector(delta_vth)
     gate_delay: Dict[Tuple[str, str], float] = {}
     for i, name in enumerate(ct.gate_names):

@@ -23,11 +23,10 @@ import numpy as np
 
 from repro import obs
 from repro.constants import TEN_YEARS, years
+from repro.context import context_for
 from repro.core.aging_compiled import CompiledNbtiModel
 from repro.core.profiles import OperatingProfile
 from repro.netlist.circuit import Circuit
-from repro.sim.logic import default_library
-from repro.sta.compiled import compiled_timing_for
 from repro.sta.degradation import ALL_ZERO, AgingAnalyzer, StandbyStates
 from repro.variation.sampling import VariationModel
 
@@ -149,8 +148,10 @@ def statistical_aging(circuit: Circuit, profile: OperatingProfile,
         variation: the Vth0 spread model.
         standby: standby state for the aging shifts (worst case default).
         context: shared :class:`~repro.context.AnalysisContext`; the
-            per-lifetime nominal shifts and the timer's loads come from
-            its memo (the per-die sampling itself stays Monte-Carlo).
+            per-lifetime nominal shifts and the compiled kernel come
+            from the memo of the context
+            :func:`~repro.context.context_for` resolves (the per-die
+            sampling itself stays Monte-Carlo).
         memory_budget: working-set budget in bytes; the sample axis is
             chunked so the transient matrices stay under it
             (:data:`DEFAULT_MC_BUDGET` holds ISCAS populations in a
@@ -163,15 +164,13 @@ def statistical_aging(circuit: Circuit, profile: OperatingProfile,
         raise ValueError("need at least two samples for a distribution")
     if analyzer is None:
         analyzer = context.analyzer if context is not None else AgingAnalyzer()
+    context = context_for(circuit, analyzer.library, analyzer.model,
+                          context=context)
     with obs.span("variation.statistical_aging", circuit=circuit.name,
                   engine="compiled", samples=n_samples, points=len(times)):
-        library = analyzer.library or default_library()
-        vth0 = library.tech.pmos.vth0
-        if context is not None and context.model == analyzer.model:
-            base_field = context.field_factor(vth0)
-        else:
-            base_field = analyzer.model.calibration.field_factor(vth0)
-        ct = compiled_timing_for(circuit, library, context)
+        vth0 = context.library.tech.pmos.vth0
+        base_field = context.field_factor(vth0)
+        ct = context.compiled_timing()
 
         # Fully array-native and streamed: the offset population arrives
         # as (gates, chunk) matrices aligned to the kernel's gate axis
@@ -183,21 +182,13 @@ def statistical_aging(circuit: Circuit, profile: OperatingProfile,
         # field-factor scale is one vectorized kernel call per offset
         # chunk (same ufunc loops as the scalar calibration).
         delays = np.empty((len(times), n_samples))
-        use_ctx = context is not None and analyzer is context.analyzer
-        base_vecs = []
-        for t in times:
-            if t <= 0:
-                base_vecs.append(np.zeros(ct.n_gates))
-            elif use_ctx:
-                base_vecs.append(context.gate_shift_vector(
-                    profile, t, standby=standby, engine="compiled"))
-            else:
-                shifts = analyzer.gate_shifts(circuit, profile, t,
-                                              standby=standby,
-                                              context=context,
-                                              engine="compiled")
-                base_vecs.append(ct.gate_vector(shifts, 0.0, batch=False))
-        kernel = CompiledNbtiModel(analyzer.model)
+        base_vecs = [
+            context.gate_shift_vector(profile, t, standby=standby,
+                                      engine="compiled")
+            if t > 0 else np.zeros(ct.n_gates)
+            for t in times
+        ]
+        kernel = CompiledNbtiModel(context.model)
         chunk = _mc_chunk_samples(ct.n_gates, n_samples, memory_budget)
         for s0, offv in variation.iter_sample_matrix(
                 circuit, n_samples, seed, chunk_samples=chunk,

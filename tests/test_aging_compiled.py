@@ -179,17 +179,6 @@ class TestGateShiftEngines:
             lambda engine: analyzer.gate_shifts(circuit, PROFILE, TEN_YEARS,
                                                 engine=engine))
 
-    def test_explicit_active_probs(self):
-        circuit = bench("c432")
-        analyzer = AgingAnalyzer()
-        rng = np.random.default_rng(3)
-        probs = {net: float(p) for net, p in
-                 zip(circuit.nets, rng.uniform(0.1, 0.9, len(circuit.nets)))}
-        assert_engines_match(
-            lambda engine: analyzer.gate_shifts(circuit, PROFILE, TEN_YEARS,
-                                                active_probs=probs,
-                                                engine=engine))
-
     def test_context_memo_keyed_by_engine(self):
         circuit = bench("c432")
         ctx = AnalysisContext(circuit)

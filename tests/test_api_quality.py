@@ -5,9 +5,11 @@ These meta-tests keep the library honest as it grows: every module under
 public function/class/method carries a docstring.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -104,3 +106,39 @@ def test_flows_take_no_engine():
             if "engine" in params:
                 offenders.append(f"{mod}.{qualname}")
     assert not offenders, f"flows with an engine switch: {offenders}"
+
+
+#: The only modules that may decide whether a context covers a call:
+#: the resolver itself, and the platform's own adoption policy.
+CONTEXT_RULE_MODULES = ("context.py", "flow/platform.py")
+
+
+def _context_binding_compares(tree):
+    """Line numbers of comparisons reading a context's circuit, library
+    or model (``context.library is library``, ``ctx.model == model``)."""
+    def is_binding(node):
+        return (isinstance(node, ast.Attribute)
+                and node.attr in ("circuit", "library", "model")
+                and isinstance(node.value, ast.Name)
+                and ("context" in node.value.id or "ctx" in node.value.id))
+
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  and any(is_binding(side)
+                          for side in [node.left, *node.comparators]))
+
+
+def test_one_context_rule():
+    """Only the resolver (``repro.context.context_for`` with
+    ``AnalysisContext.covers``) decides whether a caller's context
+    covers a call; every other module asks it."""
+    root = Path(repro.__file__).parent
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel in CONTEXT_RULE_MODULES:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{rel}:{line}"
+                      for line in _context_binding_compares(tree)]
+    assert not offenders, f"coverage decided outside the resolver: {offenders}"

@@ -303,7 +303,9 @@ class TestArtifactStore(unittest.TestCase):
         with obs.use_tracer(obs.Tracer()), obs.use_metrics(registry):
             for data in damaged:
                 path.write_bytes(data)
+                self.assertFalse(store.has_result("fp", "key"), data)
                 self.assertIsNone(store.load_result("fp", "key"), data)
+            self.assertFalse(store.has_result("fp", "absent"))
             self.assertIsNone(store.load_result("fp", "absent"))
         snapshot = registry.snapshot()
         self.assertEqual(_counter_total(snapshot, "store.result_corrupt"),
@@ -314,6 +316,7 @@ class TestArtifactStore(unittest.TestCase):
         self.assertEqual(store.stats.hits("result"), 0)
         # The recompute's save replaces the damaged record.
         store.save_result("fp", "key", {"x": 0.5})
+        self.assertTrue(store.has_result("fp", "key"))
         self.assertEqual(store.load_result("fp", "key"), {"x": 0.5})
 
     def test_orphan_arrays_are_invisible(self):

@@ -334,6 +334,24 @@ class TestShardedSweepCli:
         assert "--shards requires --store" in capsys.readouterr().err
 
 
+class TestOneLoweringPerCommand:
+    """Each command builds one context and passes it down, so the
+    circuit is lowered once for timing and once for aging."""
+
+    @pytest.mark.parametrize("argv", [
+        ["table4", "c432"],
+        ["sleep", "c432"],
+        ["paths", "c432", "--aged", "-k", "5"],
+    ], ids=["table4", "sleep", "paths-aged"])
+    def test_lowers_once(self, argv, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert main(argv + ["--metrics", str(report)]) == 0
+        capsys.readouterr()
+        metrics = json.loads(report.read_text())["metrics"]
+        for name in ("sta.compiled.lowerings", "aging.plan.lowerings"):
+            assert sum(metrics[name]["values"].values()) == 1, name
+
+
 class TestObservabilityFlags:
     """--trace / --metrics / -v on any subcommand, before or after it."""
 

@@ -7,7 +7,7 @@ from repro.cells import build_library
 from repro.constants import TEN_YEARS
 from repro.core import OperatingProfile
 from repro.flow import AnalysisPlatform
-from repro.leakage import expected_leakage, leakage_for_vector
+from repro.leakage import leakage_for_vector
 from repro.netlist import Circuit, CircuitError, Gate, random_logic
 from repro.sim import constant_vector, evaluate, propagate_probabilities
 from repro.sim.probability import estimate_probabilities
@@ -31,6 +31,26 @@ def c17():
             Gate("23", "NAND2", ["16", "19"]),
         ],
     )
+
+
+def aged_delays_oracle(circuit):
+    """Fresh and 10-year aged delay from the scalar references: the
+    scalar gate-shift oracle timed by scalar ``analyze``."""
+    shifts = AgingAnalyzer().gate_shifts(circuit, PROFILE, TEN_YEARS,
+                                         engine="scalar")
+    return (analyze(circuit, engine="scalar").circuit_delay,
+            analyze(circuit, delta_vth=shifts,
+                    engine="scalar").circuit_delay)
+
+
+def expected_leakage_oracle(circuit, table):
+    """Eq. (24) as an explicit per-gate sum over propagated SPs."""
+    probs = propagate_probabilities(circuit)
+    total = 0.0
+    for gate in circuit.gates.values():
+        total += table.expected_leakage(gate.cell,
+                                        [probs[net] for net in gate.inputs])
+    return total
 
 
 @pytest.fixture
@@ -134,10 +154,11 @@ class TestMemoization:
     def test_leakage_matches_legacy_path(self, ctx):
         table = ctx.leakage_table
         vec = constant_vector(ctx.circuit, 1)
-        legacy = leakage_for_vector(ctx.circuit, vec, table)
-        assert ctx.leakage_for_vector(vec) == pytest.approx(legacy)
-        legacy_exp = expected_leakage(ctx.circuit, table)
-        assert ctx.expected_leakage() == pytest.approx(legacy_exp)
+        # Without a context, leakage_for_vector is the scalar oracle.
+        assert ctx.leakage_for_vector(vec) == leakage_for_vector(
+            ctx.circuit, vec, table)
+        assert ctx.expected_leakage() == expected_leakage_oracle(
+            ctx.circuit, table)
 
     def test_leakage_table_built_once(self, ctx):
         assert ctx.leakage_table is ctx.leakage_table
@@ -147,8 +168,8 @@ class TestMemoization:
         shifts = ctx.gate_shifts(PROFILE, TEN_YEARS)
         assert ctx.gate_shifts(PROFILE, TEN_YEARS) is shifts
         assert ctx.stats.misses("gate_shifts") == 1
-        direct = AgingAnalyzer().gate_shifts(ctx.circuit, PROFILE, TEN_YEARS)
-        assert shifts == pytest.approx(direct)
+        assert shifts == AgingAnalyzer().gate_shifts(
+            ctx.circuit, PROFILE, TEN_YEARS, engine="scalar")
 
     def test_gate_shifts_keyed_by_standby(self, ctx):
         a = ctx.gate_shifts(PROFILE, TEN_YEARS, standby=ALL_ZERO)
@@ -158,9 +179,9 @@ class TestMemoization:
 
     def test_aged_timing_matches_analyzer(self, ctx):
         aged = ctx.aged_timing(PROFILE, TEN_YEARS)
-        direct = AgingAnalyzer().aged_timing(ctx.circuit, PROFILE, TEN_YEARS)
-        assert aged.aged_delay == pytest.approx(direct.aged_delay)
-        assert aged.fresh_delay == pytest.approx(direct.fresh_delay)
+        fresh, aged_delay = aged_delays_oracle(ctx.circuit)
+        assert aged.fresh_delay == fresh
+        assert aged.aged_delay == aged_delay
 
 
 class TestWrapperCompat:
@@ -292,11 +313,11 @@ class TestPlatformFacade:
     def test_facade_results_match_unthreaded_baseline(self, big_circuit):
         platform = AnalysisPlatform()
         report = platform.analyze_scenario(big_circuit, PROFILE, TEN_YEARS)
-        direct = AgingAnalyzer().aged_timing(big_circuit, PROFILE, TEN_YEARS)
-        assert report.aged_delay == pytest.approx(direct.aged_delay)
-        assert report.fresh_delay == pytest.approx(direct.fresh_delay)
-        legacy_leak = expected_leakage(big_circuit, platform.leakage_table)
-        assert report.active_leakage_expected == pytest.approx(legacy_leak)
+        fresh, aged = aged_delays_oracle(big_circuit)
+        assert report.fresh_delay == fresh
+        assert report.aged_delay == aged
+        assert report.active_leakage_expected == expected_leakage_oracle(
+            big_circuit, platform.leakage_table)
 
 
 class TestCacheStatsStandalone:

@@ -155,6 +155,28 @@ class TestCacheEquivalence:
         assert served == local
         assert f"circuit        : {CIRCUIT}" in served
 
+    def test_damaged_result_record_is_recomputed(self, live_server, capsys):
+        url, store_dir, _service = live_server
+        payload = {"circuit": "c17", "scenario": {"years": 4.5}}
+        status, body = _post(f"{url}/submit", payload)
+        first = json.loads(body)
+        _wait_done(url, first["job_id"])
+        path = ArtifactStore(store_dir)._result_path(first["circuit_fp"],
+                                                     first["scenario_key"])
+        path.write_bytes(path.read_bytes()[:10])  # truncated record
+
+        status, body = _post(f"{url}/submit", payload)
+        assert status == 202  # a miss: queued, not a cache answer
+        again = json.loads(body)
+        assert not again["cached"]
+        assert _wait_done(url, again["job_id"])["state"] == "done"
+        status, _ = _get(f"{url}/result/{again['job_id']}")
+        assert status == 200
+        assert main(["result", again["job_id"], "--url", url]) == 0
+        served = capsys.readouterr().out
+        assert main(["age", "c17", "--years", "4.5"]) == 0
+        assert served == capsys.readouterr().out
+
     def test_submit_wait_renders_age_report(self, live_server, capsys):
         url, _store, _service = live_server
         assert main(["submit", CIRCUIT, "--url", url, "--wait"]) == 0
@@ -188,6 +210,19 @@ class TestEndpoints:
                       "scenario": {"standby": "sideways"}})[0] == 400
         assert _post(f"{url}/submit",
                      {"circuit": "no-such-circuit"})[0] == 400
+
+    @pytest.mark.parametrize("text, message", [
+        ("INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n", "unknown gate type 'FROB'"),
+        ("INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\n", "undriven net 'z'"),
+    ], ids=["unknown-gate", "undriven-net"])
+    def test_malformed_bench_400(self, live_server, tmp_path, text,
+                                 message):
+        url, _store, _service = live_server
+        path = tmp_path / "bad.bench"
+        path.write_text(text)
+        status, body = _post(f"{url}/submit", {"circuit": str(path)})
+        assert status == 400
+        assert message in json.loads(body)["error"]
 
     def test_fault_rejected_without_allow_faults(self, live_server):
         url, _store, _service = live_server

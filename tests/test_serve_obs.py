@@ -224,3 +224,60 @@ class TestDeterministicAdoption:
             assert all("job" in s["attributes"] and "pid" in s["attributes"]
                        for s in worker_spans)
         assert obs.canonical_json(docs[0]) == obs.canonical_json(docs[1])
+
+
+class _HeldWorker:
+    """A :class:`~repro.serve.workers.JobProcess` stand-in: no process,
+    and an outcome the test hands over when it chooses."""
+
+    def __init__(self, job_id, bundle, scenario, *, timeout_s, fault=None):
+        self.job_id = job_id
+        self.seq = None
+        self.pid = None
+        self.started = time.monotonic()
+        self.result = None
+
+    def outcome(self):
+        return self.result
+
+    def kill(self):
+        pass
+
+    def close(self):
+        pass
+
+
+def _root_order(monkeypatch, root, finish_order):
+    """Root spans as (name, job index) after two claimed jobs finish
+    in ``finish_order``."""
+    monkeypatch.setattr("repro.serve.server.JobProcess", _HeldWorker)
+    service = AnalysisService(ArtifactStore(root / "store"),
+                              ServeConfig(max_workers=2))
+    monkeypatch.setattr(service.bundles, "bundle_for",
+                        lambda circuit, circuit_fp: None)
+    jobs = [service.submit("c17", AgeScenario(years=y)).job_id
+            for y in (1.0, 2.0)]
+    service._launch_ready()
+    assert sorted(service._workers) == sorted(jobs)
+    for i in finish_order:
+        service._workers[jobs[i]].result = ("ok", {
+            "numbers": {"aged_delay": float(i)},
+            "spans": [_span_dict("serve.worker.age")],
+            "metrics": {}, "cache_stats": []})
+        service._poll_workers()
+    index = {job: i for i, job in enumerate(jobs)}
+    return [(s["name"], index.get(s["attributes"].get("job")))
+            for s in service.metrics_report().to_dict()["spans"]]
+
+
+def test_attempt_spans_follow_adoption_order(monkeypatch, tmp_path):
+    in_order = _root_order(monkeypatch, tmp_path / "a", [0, 1])
+    reverse = _root_order(monkeypatch, tmp_path / "b", [1, 0])
+    assert reverse == in_order
+    # Each attempt's queue transitions sit with its worker payload.
+    assert [span for span in in_order if span[1] is not None] == [
+        ("serve.queue.submit", 0), ("serve.queue.submit", 1),
+        ("serve.queue.claim", 0), ("serve.queue.complete", 0),
+        ("serve.worker.age", 0),
+        ("serve.queue.claim", 1), ("serve.queue.complete", 1),
+        ("serve.worker.age", 1)]

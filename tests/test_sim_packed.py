@@ -233,16 +233,18 @@ class TestProbabilityEquivalence:
         assert ctx.stats.hits("activity") == 1
 
 
-def _scalar_evaluator(circuit, table, library, context, seen):
-    """Drop-in for ``repro.ivc.mlv._batch_evaluator``: one
-    :func:`leakage_for_vector` call per distinct vector, first
-    occurrence wins."""
+def _scalar_evaluator(context, seen):
+    """Drop-in for ``repro.ivc.mlv._batch_evaluator``: one scalar
+    :func:`leakage_for_vector` call (no context) per distinct vector,
+    first occurrence wins."""
+    circuit = context.circuit
+
     def evaluate_all(batch):
         for bits in batch:
             if bits not in seen:
                 seen[bits] = leakage_for_vector(
-                    circuit, bits_to_vector(circuit, bits), table, library,
-                    context=context)
+                    circuit, bits_to_vector(circuit, bits),
+                    context.leakage_table, context.library)
     return evaluate_all
 
 

@@ -11,13 +11,14 @@ import pytest
 
 from tests._engines import assert_identical, statistical_aging_oracle
 from repro import AnalysisContext
+from repro.context import context_for
 from repro.constants import TEN_YEARS
 from repro.core import OperatingProfile
 from repro.netlist import Gate, iscas85, random_logic
 from repro.netlist.generators import (array_multiplier, ecc_circuit,
                                       priority_controller)
 from repro.sta.analysis import analyze
-from repro.sta.compiled import CompiledTiming, compiled_timing_for
+from repro.sta.compiled import CompiledTiming
 from repro.variation.sampling import VariationModel
 from repro.variation.statistical import statistical_aging
 
@@ -318,18 +319,24 @@ class TestDelayOracle:
 
 
 class TestCompiledTimingFor:
+    """The kernel a flow times a circuit with: the compiled timing of
+    the context :func:`~repro.context.context_for` resolves."""
+
     def test_reuses_context_kernel(self):
         circuit = bench("c432")
         ctx = AnalysisContext(circuit)
-        assert (compiled_timing_for(circuit, ctx.library, ctx)
-                is ctx.compiled_timing())
+        assert (context_for(circuit, ctx.library, context=ctx)
+                .compiled_timing() is ctx.compiled_timing())
 
     def test_mismatched_context_lowers_afresh(self):
         circuit = bench("c432")
         ctx = AnalysisContext(bench("c880"))
-        ct = compiled_timing_for(circuit, ctx.library, ctx)
-        assert ct is not ctx.compiled_timing()
+        resolved = context_for(circuit, ctx.library, context=ctx)
+        ct = resolved.compiled_timing()
+        assert resolved is not ctx
         assert ct.circuit is circuit
+        # The foreign context lowered nothing.
+        assert ctx.stats.misses("compiled_timing") == 0
 
 
 class TestMemoryHygiene:
