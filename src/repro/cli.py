@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -82,9 +83,10 @@ def _add_profile_args(parser: argparse.ArgumentParser) -> None:
 
 def _profile_from(args) -> OperatingProfile:
     """The operating profile of the profile flags; an invalid profile or
-    a negative ``--years`` exits with a one-line ``error:`` message."""
-    if args.years < 0:
-        raise SystemExit(f"error: --years must be non-negative, "
+    a non-finite or negative ``--years`` exits with a one-line
+    ``error:`` message."""
+    if not math.isfinite(args.years) or args.years < 0:
+        raise SystemExit(f"error: --years must be a finite number >= 0, "
                          f"got {args.years:g}")
     try:
         return OperatingProfile.from_ras(args.ras, t_active=args.t_active,

@@ -243,6 +243,24 @@ class AnalysisContext:
         """
         self._caches.setdefault(name, {})[key] = value
 
+    def memo_keys(self) -> Dict[str, FrozenSet[Hashable]]:
+        """``{artifact: cached keys}``: every memoized entry held now."""
+        return {name: frozenset(cache)
+                for name, cache in self._caches.items() if cache}
+
+    def retain(self, keep: Mapping[str, FrozenSet[Hashable]]) -> None:
+        """Drop every memoized entry not named in ``keep`` (a
+        :meth:`memo_keys` snapshot); counters are untouched.
+
+        A long-lived holder snapshots the hydrated state once and trims
+        back to it after each query, so per-query entries (gate shifts,
+        shift vectors, standby states) never outlive their query.
+        """
+        for name, cache in self._caches.items():
+            kept = keep.get(name, frozenset())
+            for key in [k for k in cache if k not in kept]:
+                del cache[key]
+
     def invalidate(self) -> None:
         """Drop every memoized artifact (netlist-mutation hook).
 

@@ -13,6 +13,7 @@ probabilities) and the standby parked state (from the standby vector).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -42,8 +43,9 @@ class OperatingProfile:
     def __post_init__(self) -> None:
         if not 0.0 <= self.active_fraction <= 1.0:
             raise ValueError("active_fraction must be in [0, 1]")
-        if self.t_active <= 0 or self.t_standby <= 0:
-            raise ValueError("temperatures must be positive kelvin")
+        if not all(math.isfinite(t) and t > 0
+                   for t in (self.t_active, self.t_standby)):
+            raise ValueError("temperatures must be finite positive kelvin")
         if self.period <= 0:
             raise ValueError("period must be positive")
 

@@ -96,7 +96,8 @@ def parse_bench(text: str, name: str = "bench") -> Circuit:
     """Parse ``.bench`` text into a :class:`Circuit`.
 
     Raises:
-        BenchParseError: on syntax errors (message carries line number).
+        BenchParseError: on syntax errors (message carries line number)
+            and on a netlist that declares no ``OUTPUT``.
     """
     inputs: List[str] = []
     outputs: List[str] = []
@@ -126,6 +127,8 @@ def parse_bench(text: str, name: str = "bench") -> Circuit:
             raise BenchParseError(f"line {lineno}: gate with no inputs")
         stem, inverting = _GATE_TYPES[gtype]
         _decompose_wide(m.group("out"), stem, inverting, ins, gates, counter)
+    if not outputs:
+        raise BenchParseError("no OUTPUT declared")
     try:
         return Circuit(name, inputs, outputs, gates)
     except CircuitError as exc:
@@ -164,7 +167,8 @@ def load_circuit(name: str) -> Circuit:
     netlist (``c17``), then a ``.bench`` file path.
 
     Raises:
-        ValueError: when ``name`` is none of the three.
+        ValueError: when ``name`` is none of the three, or names a path
+            that cannot be read as text.
         BenchParseError, CircuitError: for a malformed ``.bench`` file.
     """
     from repro.netlist import iscas85
@@ -177,7 +181,11 @@ def load_circuit(name: str) -> Circuit:
         pass
     path = Path(name)
     if path.exists():
-        return load_bench(path)
+        try:
+            return load_bench(path)
+        except OSError as exc:
+            raise ValueError(f"cannot read {name!r}: "
+                             f"{exc.strerror or exc}") from None
     known = ", ".join(list(iscas85.NAMES) + ["c17"])
     raise ValueError(f"unknown circuit {name!r} "
                      f"(known benchmarks: {known}; or pass a .bench path)")

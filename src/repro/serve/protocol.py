@@ -34,6 +34,7 @@ fault-injection suites):
 
 from __future__ import annotations
 
+import math
 import time
 import uuid
 from dataclasses import dataclass, field, replace
@@ -82,7 +83,11 @@ class AgeScenario:
     """One aged-timing query: the ``repro age`` parameter set.
 
     The defaults equal the CLI defaults, so a bare ``submit`` asks the
-    same question as a bare ``repro age CIRCUIT``.
+    same question as a bare ``repro age CIRCUIT``.  Construction builds
+    the operating profile, so an unanswerable scenario (bad RAS,
+    non-finite or non-positive temperature, non-finite or negative
+    lifetime, unknown standby case) raises ``ValueError`` before any
+    job exists.
     """
 
     ras: str = "1:9"
@@ -90,11 +95,19 @@ class AgeScenario:
     t_standby: float = 330.0
     years: float = 10.0
     standby: str = "worst"
+    _profile: Any = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        from repro.core.profiles import OperatingProfile
+
         if self.standby not in ("worst", "best"):
             raise ValueError(
                 f"standby must be 'worst' or 'best', got {self.standby!r}")
+        if not math.isfinite(self.years) or self.years < 0:
+            raise ValueError(f"years must be a finite number >= 0, "
+                             f"got {self.years!r}")
+        object.__setattr__(self, "_profile", OperatingProfile.from_ras(
+            self.ras, t_active=self.t_active, t_standby=self.t_standby))
 
     def payload(self) -> Dict[str, Any]:
         """The canonical scenario-key payload.
@@ -116,10 +129,7 @@ class AgeScenario:
 
     def profile(self):
         """The :class:`~repro.core.profiles.OperatingProfile`."""
-        from repro.core.profiles import OperatingProfile
-
-        return OperatingProfile.from_ras(self.ras, t_active=self.t_active,
-                                         t_standby=self.t_standby)
+        return self._profile
 
     def lifetime_seconds(self) -> float:
         """The lifetime horizon in seconds."""

@@ -338,6 +338,13 @@ class JobQueue:
         with self._lock:
             return len(self._pending)
 
+    def next_not_before(self) -> Optional[float]:
+        """The earliest ``not_before`` in the FIFO (``None`` if empty):
+        when the next backed-off job becomes claimable."""
+        with self._lock:
+            return min((self._jobs[job_id].not_before
+                        for job_id in self._pending), default=None)
+
     def retry_backlog(self) -> int:
         """Queued jobs that already burned at least one attempt."""
         with self._lock:

@@ -7,10 +7,17 @@
   already in the store's result cache, in which case the submission is
   answered as an immediately-``done`` cached job without ever touching
   the queue or a worker;
-* a scheduler thread claims eligible jobs into per-job worker
-  processes (:class:`~repro.serve.workers.JobProcess`), shipping each
-  circuit's compiled bundle (lowered once, via
-  :class:`~repro.serve.workers.BundleCache`) so workers never re-lower;
+* a scheduler thread dispatches claimed jobs to a pool of at most
+  ``max_workers`` long-lived :class:`~repro.serve.workers.Worker`
+  processes, started on demand, which keep hydrated circuits between
+  jobs; each circuit's compiled bundle is lowered once
+  (:class:`~repro.serve.workers.BundleCache`) and shipped to a worker
+  only the first time it serves that circuit;
+* the scheduler blocks in :func:`multiprocessing.connection.wait` on
+  the workers' result pipes and sentinels plus one wake-up handle that
+  :meth:`~AnalysisService.submit` and :meth:`~AnalysisService.stop`
+  signal, with the nearest attempt deadline or retry ``not_before`` as
+  its timeout — it never sleeps on a poll tick;
 * completed numbers are persisted to the result cache **before** the
   job flips to ``done``; failed attempts are retried with exponential
   backoff until the retry budget runs out, then marked ``failed`` with
@@ -41,11 +48,14 @@ See docs/SERVICE.md for the wire protocol.
 from __future__ import annotations
 
 import json
+import math
+import multiprocessing
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from multiprocessing import connection
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro import obs
@@ -61,7 +71,7 @@ from repro.serve.protocol import (
     structured_error,
 )
 from repro.serve.queue import JobQueue
-from repro.serve.workers import BundleCache, JobProcess
+from repro.serve.workers import BundleCache, Worker
 
 #: Spans kept in the service tracer (oldest dropped past this), so a
 #: long-lived server's /metrics document stays bounded.
@@ -290,8 +300,36 @@ class ServeConfig:
     max_retries: int = 2
     backoff_s: float = 0.05
     drain_grace_s: float = 5.0
-    poll_interval_s: float = 0.02
     allow_faults: bool = False
+
+
+class _Wakeup:
+    """A flag the scheduler can wait on next to worker pipes.
+
+    :meth:`set` (any thread) makes :meth:`fileno` readable to
+    :func:`multiprocessing.connection.wait` until :meth:`clear`; at
+    most one wake-up is ever pending, so setting never blocks.
+    """
+
+    def __init__(self) -> None:
+        self._reader, self._writer = multiprocessing.Pipe(duplex=False)
+        self._lock = threading.Lock()
+        self._pending = False
+
+    def fileno(self) -> int:
+        return self._reader.fileno()
+
+    def set(self) -> None:
+        with self._lock:
+            if not self._pending:
+                self._pending = True
+                self._writer.send_bytes(b"")
+
+    def clear(self) -> None:
+        with self._lock:
+            if self._pending:
+                self._reader.recv_bytes()
+                self._pending = False
 
 
 class AnalysisService:
@@ -312,9 +350,13 @@ class AnalysisService:
         self.started_at = time.time()
         self._draining = threading.Event()
         self._stopped = threading.Event()
+        self._drain_deadline = 0.0
+        self._wakeup = _Wakeup()
         self._scheduler: Optional[threading.Thread] = None
-        #: job_id -> (JobProcess, shipped bundle) of live claims.
-        self._workers: Dict[str, JobProcess] = {}
+        #: Every live worker process, idle or busy.
+        self._pool: List[Worker] = []
+        #: job_id -> the worker running its current attempt.
+        self._workers: Dict[str, Worker] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -331,20 +373,21 @@ class AnalysisService:
         """Graceful shutdown: drain running claims, stop scheduling.
 
         No new jobs are claimed; running workers get
-        ``drain_grace_s`` to finish, then are killed and their jobs
-        requeued (a ``drained`` note in ``last_error``) so a restarted
-        server resumes them.  Idempotent.
+        ``drain_grace_s`` to finish (the scheduler keeps adopting
+        their results), then are killed and their jobs requeued (a
+        ``drained`` note in ``last_error``) so a restarted server
+        resumes them.  Idle workers exit.  Idempotent.
         """
         if self._stopped.is_set():
             return
+        self._drain_deadline = (time.monotonic()
+                                + (self.config.drain_grace_s if drain
+                                   else 0.0))
         self._draining.set()
-        if drain:
-            deadline = time.monotonic() + self.config.drain_grace_s
-            while self._workers and time.monotonic() < deadline:
-                time.sleep(self.config.poll_interval_s)
-        self._stopped.set()
+        self._wakeup.set()
         if self._scheduler is not None:
-            self._scheduler.join(timeout=10.0)
+            self._scheduler.join(timeout=self.config.drain_grace_s + 10.0)
+        self._stopped.set()
         for job_id, worker in list(self._workers.items()):
             worker.kill()
             with self.obs.hold(worker.seq):
@@ -356,8 +399,10 @@ class AnalysisService:
             # Release the adoption slot so buffered payloads behind
             # this killed attempt still flush.
             self.obs.adopt(seq=worker.seq)
-            worker.close()
             self._workers.pop(job_id, None)
+        for worker in self._pool:
+            worker.close()
+        self._pool.clear()
         self.obs.count("serve.drains")
 
     # -- submission ----------------------------------------------------------
@@ -370,24 +415,45 @@ class AnalysisService:
 
         Order of answers:
 
-        1. result cache — a stored ``(circuit_fp, scenario_key)``
+        1. active-job coalescing — an identical queued/running job is
+           returned as-is instead of queuing a duplicate;
+        2. result cache — a stored ``(circuit_fp, scenario_key)``
            payload yields an immediately-``done`` record (``cached``
            flag set) without queue or worker involvement;
-        2. active-job coalescing — an identical queued/running job is
-           returned as-is instead of queuing a duplicate;
         3. a fresh ``queued`` record enters the durable FIFO.
+
+        A finishing job stores its result before it leaves the active
+        index, so checking in this order never misses both.
+
+        Raises ``ValueError`` before any work for a ``timeout_s`` that
+        is not a finite positive number, a ``max_retries`` that is not
+        a non-negative integer, or a fault without ``allow_faults``.
         """
         from repro.netlist import load_circuit
 
+        if timeout_s is not None and (
+                isinstance(timeout_s, bool)
+                or not isinstance(timeout_s, (int, float))
+                or not math.isfinite(timeout_s) or timeout_s <= 0):
+            raise ValueError(f"timeout_s must be a finite number > 0, "
+                             f"got {timeout_s!r}")
+        if max_retries is not None and (
+                isinstance(max_retries, bool)
+                or not isinstance(max_retries, int) or max_retries < 0):
+            raise ValueError(f"max_retries must be an integer >= 0, "
+                             f"got {max_retries!r}")
+        if fault is not None and not self.config.allow_faults:
+            raise ValueError("fault injection requires --allow-faults")
         with self.obs.span("serve.submit", circuit=circuit):
             loaded = load_circuit(circuit)
             from repro.artifacts.fingerprint import circuit_fingerprint
 
             circuit_fp = circuit_fingerprint(loaded)
             key = scenario.key()
-            if fault is not None and not self.config.allow_faults:
-                raise ValueError(
-                    "fault injection requires --allow-faults")
+            active = self.queue.active_job_for(circuit_fp, key)
+            if active is not None and fault is None:
+                self.obs.count("serve.coalesced_submits")
+                return active
             if self.store.has_result(circuit_fp, key):
                 record = JobRecord(
                     job_id=new_job_id(), circuit=circuit,
@@ -396,20 +462,18 @@ class AnalysisService:
                     cached=True)
                 self.obs.count("serve.cache_answers")
                 return self.queue.admit_terminal(record)
-            active = self.queue.active_job_for(circuit_fp, key)
-            if active is not None and fault is None:
-                self.obs.count("serve.coalesced_submits")
-                return active
             record = JobRecord(
                 job_id=new_job_id(), circuit=circuit,
                 circuit_name=loaded.name, circuit_fp=circuit_fp,
                 scenario=scenario, scenario_key=key,
                 timeout_s=(self.config.timeout_s if timeout_s is None
-                           else timeout_s),
+                           else float(timeout_s)),
                 max_retries=(self.config.max_retries if max_retries is None
                              else max_retries),
                 fault=fault)
-            return self.queue.submit(record)
+            record = self.queue.submit(record)
+        self._wakeup.set()
+        return record
 
     # -- queries -------------------------------------------------------------
 
@@ -431,12 +495,12 @@ class AnalysisService:
         return record, numbers
 
     def healthz(self) -> Dict[str, Any]:
-        """Liveness document: queue depths and uptime."""
+        """Liveness document: queue depths, uptime, live workers."""
         counts = self.queue.counts()
         return {"status": "draining" if self._draining.is_set() else "ok",
                 "uptime_s": time.time() - self.started_at,
                 "jobs": counts,
-                "workers": len(self._workers)}
+                "workers": len(self._pool)}
 
     def metrics_report(self) -> obs.RunReport:
         """The service RunReport (see :meth:`ServiceObs.report`).
@@ -463,17 +527,52 @@ class AnalysisService:
     # -- the scheduler loop --------------------------------------------------
 
     def _run_scheduler(self) -> None:
-        while not self._stopped.is_set():
-            progressed = self._poll_workers()
-            if not self._draining.is_set():
-                progressed |= self._launch_ready()
-            if not progressed:
-                time.sleep(self.config.poll_interval_s)
-        # Final sweep so results that arrived during shutdown land.
-        self._poll_workers()
+        while True:
+            self._wakeup.clear()
+            self._poll_workers()
+            if self._draining.is_set():
+                if (not self._workers
+                        or time.monotonic() >= self._drain_deadline):
+                    return
+            else:
+                self._launch_ready()
+            self._wait()
 
-    def _launch_ready(self) -> bool:
-        launched = False
+    def _wait(self) -> None:
+        """Block until a worker replies or dies, a wake-up, or the
+        nearest attempt deadline, retry ``not_before`` or drain end."""
+        handles: List[Any] = [self._wakeup]
+        deadlines: List[float] = []
+        for worker in self._pool:
+            handles.append(worker.sentinel)
+            if worker.job_id is not None:
+                handles.append(worker.conn)
+                deadlines.append(worker.deadline)
+        now = time.monotonic()
+        if self._draining.is_set():
+            deadlines.append(self._drain_deadline)
+        elif len(self._workers) < self.config.max_workers:
+            not_before = self.queue.next_not_before()
+            if not_before is not None:
+                deadlines.append(now + not_before - time.time())
+        timeout = max(0.0, min(deadlines) - now) if deadlines else None
+        connection.wait(handles, timeout)
+
+    def _worker_for(self, bundle_key: str) -> Worker:
+        """An idle worker, preferring one that holds the circuit; a new
+        one only when none is idle."""
+        idle = [w for w in self._pool if w.job_id is None]
+        for worker in idle:
+            if bundle_key in worker.held:
+                return worker
+        if idle:
+            return idle[0]
+        worker = Worker()
+        self._pool.append(worker)
+        self.obs.count("serve.workers_spawned")
+        return worker
+
+    def _launch_ready(self) -> None:
         while (len(self._workers) < self.config.max_workers
                and self.queue.pending()):
             # The attempt's queue spans and worker payload share one
@@ -487,9 +586,8 @@ class AnalysisService:
             try:
                 bundle = self.bundles.bundle_for(record.circuit,
                                                  record.circuit_fp)
-                worker = JobProcess(record.job_id, bundle, record.scenario,
-                                    timeout_s=record.timeout_s,
-                                    fault=record.fault)
+                worker = self._worker_for(bundle.bundle_key)
+                worker.start(record, bundle, seq)
             except Exception as exc:
                 with self.obs.hold(seq):
                     self.queue.finish_attempt(
@@ -499,24 +597,21 @@ class AnalysisService:
                         backoff_s=self.config.backoff_s)
                 self.obs.adopt(seq=seq)
                 continue
-            worker.seq = seq
             if record.attempts == 1:
                 self.obs.observe("serve.job.queue_wait_seconds",
                                  max(0.0, time.time() - record.created_at))
             if worker.pid is not None:
                 self.queue.mark_pid(record.job_id, worker.pid)
             self._workers[record.job_id] = worker
-            self.obs.count("serve.workers_spawned")
-            launched = True
-        return launched
 
-    def _poll_workers(self) -> bool:
-        progressed = False
+    def _poll_workers(self) -> None:
+        for worker in [w for w in self._pool
+                       if w.job_id is None and not w.alive()]:
+            self._retire(worker)  # died idle: no attempt to charge
         for job_id, worker in list(self._workers.items()):
             outcome = worker.outcome()
             if outcome is None:
                 continue
-            progressed = True
             kind, payload = outcome
             record = self.queue.get(job_id)
             self.obs.observe("serve.job.attempt_seconds",
@@ -539,9 +634,13 @@ class AnalysisService:
                         job_id, payload, backoff_s=self.config.backoff_s)
                 # Release the slot so later payloads are not held back.
                 self.obs.adopt(seq=worker.seq)
-            worker.close()
+                if kind in ("crashed", "timeout"):
+                    self._retire(worker)  # replaced on demand
             self._workers.pop(job_id, None)
-        return progressed
+
+    def _retire(self, worker: Worker) -> None:
+        self._pool.remove(worker)
+        worker.close()
 
 
 # -- HTTP front end ----------------------------------------------------------

@@ -1,66 +1,88 @@
-"""Process-pool execution tier: one isolated process per job attempt.
+"""Warm worker tier: long-lived processes that keep hydrated circuits.
 
-Each claimed job runs in its own child process (:class:`JobProcess`),
-spawned through the platform's default multiprocessing start method —
-the same isolation model as :mod:`repro.flow.parallel`, sharpened for
-fault injection: a worker that is SIGKILLed, times out, or raises only
-ever costs *its* job one attempt; the queue keeps draining.
+Served jobs run on a pool of at most ``--workers`` :class:`Worker`
+processes.  The scheduler starts one, from the ``spawn`` start method
+(never by forking the threaded server), only when a claimed job finds
+no idle worker; an idle or cache-only server runs none.  A worker then
+serves jobs one at a time over a duplex pipe until the server closes
+the pipe or the worker dies.
 
-Bundle shipping reuses the artifact plane end to end: the parent
-lowers each distinct circuit **once** (:func:`prepare_bundle`, served
-from / persisted to the content-addressed store, deduplicated
-in-process per fingerprint), and ships the compiled
-:class:`~repro.artifacts.bundle.ArtifactBundle` to the child, which
-hydrates a warm :class:`~repro.context.AnalysisContext` — workers
-never re-lower a circuit, and hydrated results are bit-identical to
-rebuilt ones (the PR 6 invariant).
+Warm state, bounded:
 
-The child runs under fresh per-process observability state (exactly
-like the sweep runner's ``_ObservedWorker``) and ships its spans,
-metric snapshot, and cache stats back through the result pipe, so the
-service's ``/metrics`` RunReport shows worker-side kernel activity
-merged deterministically in claim order.
+* the parent lowers each distinct circuit **once**
+  (:class:`BundleCache`, served from / persisted to the
+  content-addressed store) and ships the compiled
+  :class:`~repro.artifacts.bundle.ArtifactBundle` only the first time
+  a worker serves that bundle key; it prefers an idle worker that
+  already holds the job's circuit;
+* the worker keeps the *hydrated* contexts, not the shipped bundles
+  (:class:`WarmCircuits`): least recently used out first once they
+  hold more than :data:`WARM_GATE_BUDGET` gates;
+* after each job a context is trimmed back to its hydrated memo, so
+  per-query entries (gate shifts, shift vectors, standby states) never
+  outlive their job.
 
-Result protocol over the pipe (one message, then EOF):
+Fault isolation stays per attempt: every attempt runs in a process the
+parent can SIGKILL.  A worker that crashes, passes its job's deadline
+or is killed on drain costs that job one attempt and is replaced on
+demand; an analysis exception fails the attempt and the worker keeps
+serving.
 
-* ``{"ok": True, "numbers": {...}, "spans": [...], "metrics": {...},
-  "cache_stats": [...]}`` — analysis succeeded; the parent persists
-  ``numbers`` to the result cache *before* marking the job done.
-* ``{"ok": False, "error": {...}}`` — the analysis raised; structured
-  error attached.
-* no message + dead process — the worker crashed (or was killed); the
-  parent synthesizes a ``worker-crashed`` error from the exit code.
+Each job runs under fresh observability state and ships its spans,
+metric snapshot, and cache stats back with its numbers, so the
+service's ``/metrics`` RunReport shows worker-side kernel activity,
+merged in claim order.
+
+Pipe protocol (pickled dicts):
+
+* worker -> parent, once after boot: ``{"ready": pid}``; the parent
+  holds a booting worker's first job until then;
+* parent -> worker, per job: ``{"job", "circuit", "key", "bundle",
+  "scenario", "fault"}``, ``bundle`` being ``None`` when the worker
+  already holds ``key``;
+* worker -> parent, per job: ``{"ok": True, "numbers", "spans",
+  "metrics", "cache_stats", "held"}`` or ``{"ok": False, "error",
+  "held"}``; ``held`` lists the bundle keys the worker now keeps;
+* no reply + dead process: the parent synthesizes a
+  ``worker-crashed`` error from the exit code.
 
 Fault injection (``JobRecord.fault``, honored only when the service
 runs with ``allow_faults``) deterministically reproduces the failure
 modes the hardening suite needs: ``{"delay": s}`` sleeps before the
-analysis (a killable window), ``{"exit": code}`` dies without a
-message (a crash), ``{"raise": msg}`` raises inside the analysis.
+analysis (a killable window), ``{"exit": code}`` ends the worker
+without a reply (a crash), ``{"raise": msg}`` raises inside the job.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import signal
+import threading
 import time
-from typing import Any, Dict, Optional, Tuple
+from collections import OrderedDict
+from contextlib import contextmanager
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro import obs
-from repro.serve.protocol import AgeScenario, structured_error
+from repro.serve.protocol import AgeScenario, JobRecord, structured_error
+
+#: Gates of hydrated circuits one worker keeps between jobs; past it
+#: the least recently used circuits go.  The ten ISCAS85 stand-ins
+#: take 12,708 gates together.
+WARM_GATE_BUDGET = 20_000
 
 
-def run_age_analysis(bundle: Any, scenario: AgeScenario) -> Dict[str, Any]:
+def run_age_analysis(context: Any, scenario: AgeScenario) -> Dict[str, Any]:
     """The job payload: aged-delay numbers for one (circuit, scenario).
 
-    Hydrates the shipped bundle (no lowering) and runs the same
-    summary-path analysis as ``repro age``, so the persisted numbers
-    are float-for-float identical to the CLI's — the cache-equivalence
-    acceptance test depends on this.
+    Runs the same summary-path analysis as ``repro age`` on a hydrated
+    context, so the persisted numbers are float-for-float identical to
+    the CLI's — the cache-equivalence acceptance test depends on this.
     """
     from repro.sta import ALL_ONE, ALL_ZERO
 
-    context = bundle.hydrate()
     obs.gauge("serve.worker.gates", context.circuit.n_gates())
     standby = {"worst": ALL_ZERO, "best": ALL_ONE}[scenario.standby]
     res = context.aged_delays(scenario.profile(),
@@ -70,6 +92,59 @@ def run_age_analysis(bundle: Any, scenario: AgeScenario) -> Dict[str, Any]:
             "aged_delay": res.aged_delay,
             "degradation": res.relative_degradation,
             "max_shift": res.max_shift}
+
+
+class WarmCircuits:
+    """One worker's hydrated circuits, keyed by bundle key.
+
+    Each entry is a hydrated context plus the memo keys it held right
+    after hydration.  :meth:`checkout` lends a context for one job and
+    then trims it back to those keys; past :data:`WARM_GATE_BUDGET`
+    held gates the least recently used entries are dropped (never the
+    one just checked out).
+    """
+
+    def __init__(self) -> None:
+        self._held: "OrderedDict[str, Tuple[Any, Dict[str, Any]]]" = \
+            OrderedDict()
+
+    def keys(self) -> List[str]:
+        """Bundle keys held, least recently used first."""
+        return list(self._held)
+
+    def context(self, key: str) -> Any:
+        """The held context of ``key`` (inspection only: no LRU touch)."""
+        return self._held[key][0]
+
+    @contextmanager
+    def checkout(self, key: str, bundle: Any = None) -> Iterator[Any]:
+        """Lend the hydrated context of ``key`` for one job.
+
+        Hydrates ``bundle`` on the key's first use.  Either way the
+        context's cache counters cover this job alone and sit in the
+        caller's cache scope; on exit its memo is trimmed back to the
+        hydrated state.
+        """
+        entry = self._held.pop(key, None)
+        if entry is None:
+            if bundle is None:
+                raise KeyError(f"worker holds no circuit for bundle {key} "
+                               "and none was shipped")
+            context = bundle.hydrate()  # registers its own counters
+            entry = (context, context.memo_keys())
+        else:
+            context = entry[0]
+            context.stats.reset()
+            obs.register_cache_stats(context.circuit.name, context.stats)
+        self._held[key] = entry
+        gates = sum(c.circuit.n_gates() for c, _ in self._held.values())
+        while gates > WARM_GATE_BUDGET and len(self._held) > 1:
+            _, (evicted, _) = self._held.popitem(last=False)
+            gates -= evicted.circuit.n_gates()
+        try:
+            yield context
+        finally:
+            context.retain(entry[1])
 
 
 def _apply_fault(fault: Optional[Dict[str, Any]]) -> None:
@@ -87,106 +162,159 @@ def _apply_fault(fault: Optional[Dict[str, Any]]) -> None:
         raise RuntimeError(str(message))
 
 
-def _job_child(conn, bundle: Any, scenario: AgeScenario,
-               fault: Optional[Dict[str, Any]]) -> None:
-    """Child-process entry point: analyze, ship one message, exit."""
+def serve_job(warm: WarmCircuits, job: Dict[str, Any]) -> Dict[str, Any]:
+    """Run one job message on ``warm``: the worker's reply.
+
+    The worker's whole per-job step, callable in-process.  An exception
+    becomes a structured ``analysis-error`` reply; either way ``held``
+    reports the bundle keys kept afterwards.
+    """
     try:
-        _apply_fault(fault)
+        _apply_fault(job.get("fault"))
         tracer = obs.Tracer()
         registry = obs.MetricsRegistry()
-        captured: list = []
+        captured: List[Dict[str, Any]] = []
         with obs.use_tracer(tracer), obs.use_metrics(registry), \
                 obs.cache_scope(captured):
-            with obs.span("serve.worker.age",
-                          circuit=bundle.circuit_name,
+            with obs.span("serve.worker.age", circuit=job["circuit"],
                           pid=os.getpid()):
-                numbers = run_age_analysis(bundle, scenario)
-        conn.send({"ok": True, "numbers": numbers,
-                   "spans": tracer.span_dicts(),
-                   "metrics": registry.snapshot(),
-                   "cache_stats": captured})
-    except BaseException as exc:  # ship *any* failure as data
-        try:
-            conn.send({"ok": False, "error": structured_error(
-                "analysis-error", str(exc) or exc.__class__.__name__,
-                exception=exc.__class__.__name__)})
-        except (BrokenPipeError, OSError):
-            pass
-    finally:
-        conn.close()
+                with warm.checkout(job["key"], job.get("bundle")) as context:
+                    numbers = run_age_analysis(context, job["scenario"])
+        reply = {"ok": True, "numbers": numbers,
+                 "spans": tracer.span_dicts(),
+                 "metrics": registry.snapshot(),
+                 "cache_stats": captured}
+    except Exception as exc:  # ship the failure as data
+        reply = {"ok": False, "error": structured_error(
+            "analysis-error", str(exc) or exc.__class__.__name__,
+            exception=exc.__class__.__name__)}
+    reply["held"] = warm.keys()
+    return reply
 
 
-class JobProcess:
-    """One job attempt running in its own process, with a deadline.
+def _worker_main(conn) -> None:
+    """Worker-process entry point: announce, then serve jobs until the
+    parent closes the pipe."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the server drains us
+    warm = WarmCircuits()
+    try:
+        conn.send({"ready": os.getpid()})
+        while True:
+            conn.send(serve_job(warm, conn.recv()))
+    except (EOFError, OSError):
+        pass
 
-    The parent polls :meth:`outcome`; terminal outcomes are
-    ``("ok", payload)``, ``("error", error_dict)``,
-    ``("crashed", error_dict)``, or ``("timeout", error_dict)``.
+
+def _crash_error(code: Optional[int]) -> Dict[str, Any]:
+    """The ``worker-crashed`` error of a worker that died with ``code``."""
+    detail: Dict[str, Any] = {"exitcode": code}
+    if code is not None and code < 0:
+        detail["signal"] = -code
+        message = (f"worker killed by signal {-code} "
+                   f"({signal.Signals(-code).name})"
+                   if -code in signal.Signals.__members__.values()
+                   else f"worker killed by signal {-code}")
+    else:
+        message = f"worker exited with code {code} and no result"
+    return structured_error("worker-crashed", message, **detail)
+
+
+class Worker:
+    """One long-lived worker process, as the scheduler sees it.
+
+    ``job_id`` names the running attempt's job (``None`` while idle);
+    ``seq``, ``started`` and ``deadline`` describe the latest attempt;
+    ``held`` is the set of bundle keys the worker last reported.  The
+    scheduler waits on :attr:`conn` and :attr:`sentinel`.
     """
 
-    def __init__(self, job_id: str, bundle: Any, scenario: AgeScenario,
-                 *, timeout_s: float,
-                 fault: Optional[Dict[str, Any]] = None,
-                 mp_context=None) -> None:
-        ctx = mp_context or multiprocessing.get_context()
-        self.job_id = job_id
-        self._parent_conn, child_conn = ctx.Pipe(duplex=False)
-        self._process = ctx.Process(
-            target=_job_child,
-            args=(child_conn, bundle, scenario, fault),
-            daemon=True)
+    def __init__(self) -> None:
+        ctx = multiprocessing.get_context("spawn")
+        self.conn, child_conn = ctx.Pipe()
+        self._process = ctx.Process(target=_worker_main, args=(child_conn,),
+                                    name="repro-serve-worker", daemon=True)
         self._process.start()
         child_conn.close()  # the child owns its end now
-        self.started = time.monotonic()
-        self.deadline = self.started + timeout_s
+        self.held: FrozenSet[str] = frozenset()
+        self.job_id: Optional[str] = None
         #: Adoption slot assigned by the scheduler at launch (see
-        #: ServiceObs.alloc_seq); None outside a service.
+        #: ServiceObs.alloc_seq).
         self.seq: Optional[int] = None
-        self._payload: Optional[Dict[str, Any]] = None
+        self.started = 0.0
+        self.deadline = 0.0
+        self._timeout_s = 0.0
+        self._booted = False
+        #: The pickled job waiting for the worker to boot.
+        self._pending: Optional[bytes] = None
 
     @property
     def pid(self) -> Optional[int]:
         return self._process.pid
 
-    def _drain_pipe(self) -> None:
-        if self._payload is None and self._parent_conn.poll():
-            try:
-                self._payload = self._parent_conn.recv()
-            except (EOFError, OSError):
-                pass
+    @property
+    def sentinel(self) -> int:
+        return self._process.sentinel
+
+    def alive(self) -> bool:
+        """Whether the worker process is still running."""
+        return self._process.is_alive()
+
+    def start(self, record: JobRecord, bundle: Any, seq: int) -> None:
+        """Run one claimed job; the bundle ships only if not held.
+
+        The deadline runs from delivery; a booting worker's job is
+        delivered once the worker reports ready, and its boot counts
+        against the same timeout.
+        """
+        key = bundle.bundle_key
+        self._pending = pickle.dumps({
+            "job": record.job_id, "circuit": record.circuit_name,
+            "key": key, "bundle": None if key in self.held else bundle,
+            "scenario": record.scenario, "fault": record.fault},
+            protocol=pickle.HIGHEST_PROTOCOL)
+        self.job_id, self.seq = record.job_id, seq
+        self._timeout_s = record.timeout_s
+        self.started = time.monotonic()
+        self.deadline = self.started + self._timeout_s
+        if self._booted:
+            self._deliver()
+
+    def _deliver(self) -> None:
+        data, self._pending = self._pending, None
+        self.deadline = time.monotonic() + self._timeout_s
+        try:
+            self.conn.send_bytes(data)
+        except OSError:
+            pass  # the worker died; outcome() reports the crash
 
     def outcome(self) -> Optional[Tuple[str, Dict[str, Any]]]:
-        """The attempt's terminal outcome, or ``None`` while running.
+        """The running attempt's terminal outcome, or ``None``.
 
-        Checks the result pipe *before* liveness so a worker that sent
-        its message and exited between polls is never misread as a
-        crash.  A worker past its deadline is killed and reported as a
-        ``timeout``.
+        Terminal outcomes are ``("ok", reply)``, ``("error",
+        error_dict)``, ``("crashed", error_dict)`` and ``("timeout",
+        error_dict)``; after the first two the worker is idle again.
+        The pipe is read before liveness is checked, so a reply that
+        raced the worker's exit is never misread as a crash.  A worker
+        past its deadline is killed.
         """
-        self._drain_pipe()
-        if self._payload is not None:
-            self._process.join(timeout=5.0)
-            if self._payload.get("ok"):
-                return ("ok", self._payload)
-            return ("error", self._payload.get(
-                "error", structured_error("analysis-error",
-                                          "worker sent no error detail")))
+        try:
+            while self.conn.poll():
+                reply = self.conn.recv()
+                if "ready" in reply:
+                    self._booted = True
+                    if self._pending is not None:
+                        self._deliver()
+                    continue
+                self.held = frozenset(reply.get("held", ()))
+                self.job_id = None
+                if reply.get("ok"):
+                    return ("ok", reply)
+                return ("error", reply.get("error") or structured_error(
+                    "analysis-error", "worker sent no error detail"))
+        except (EOFError, OSError):
+            self._process.join(timeout=1.0)  # the pipe closes at exit
         if not self._process.is_alive():
-            self._drain_pipe()  # message raced the exit
-            if self._payload is not None:
-                return self.outcome()
-            code = self._process.exitcode
-            detail: Dict[str, Any] = {"exitcode": code}
-            if code is not None and code < 0:
-                detail["signal"] = -code
-                message = (f"worker killed by signal {-code} "
-                           f"({signal.Signals(-code).name})"
-                           if -code in signal.Signals.__members__.values()
-                           else f"worker killed by signal {-code}")
-            else:
-                message = f"worker exited with code {code} and no result"
-            return ("crashed", structured_error("worker-crashed", message,
-                                                **detail))
+            return ("crashed", _crash_error(self._process.exitcode))
         if time.monotonic() >= self.deadline:
             self.kill()
             return ("timeout", structured_error(
@@ -204,11 +332,11 @@ class JobProcess:
             self._process.join(timeout=5.0)
 
     def close(self) -> None:
-        """Release the pipe and process handles."""
-        try:
-            self._parent_conn.close()
-        except OSError:
-            pass
+        """Stop the worker and release its handles: an idle worker
+        exits on the pipe's EOF, one that lingers is killed."""
+        self.conn.close()
+        self._process.join(timeout=1.0)
+        self.kill()
         self._process.close()
 
 
@@ -226,11 +354,8 @@ class BundleCache:
     def __init__(self, store: Any, observer: Any = None) -> None:
         self.store = store
         self.obs = observer
-        self._lock = None
-        self._bundles: Dict[str, Any] = {}
-        import threading
-
         self._lock = threading.Lock()
+        self._bundles: Dict[str, Any] = {}
 
     def bundle_for(self, circuit_source: str, circuit_fp: str) -> Any:
         """The compiled bundle of one circuit (build-once semantics)."""

@@ -70,6 +70,29 @@ class TestBadInput:
         self.assert_one_line_error(proc)
         assert "--years" in proc.stderr
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--years", "nan"], "--years"),
+        (["--years", "inf"], "--years"),
+        (["--t-standby", "nan"], "kelvin"),
+    ], ids=["nan-years", "inf-years", "nan-standby-temperature"])
+    def test_non_finite_profile_flag(self, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["age", "c17", *argv])
+        assert str(exc.value.code).startswith("error: ")
+        assert message in str(exc.value.code)
+
+    def test_bench_without_output(self, tmp_path):
+        (tmp_path / "empty.bench").write_text("")
+        proc = _run_cli("age", "empty.bench", cwd=tmp_path)
+        self.assert_one_line_error(proc)
+        assert "no OUTPUT" in proc.stderr
+
+    def test_directory_path(self, tmp_path):
+        (tmp_path / "netlists").mkdir()
+        proc = _run_cli("age", "netlists", cwd=tmp_path)
+        self.assert_one_line_error(proc)
+        assert "cannot read" in proc.stderr
+
 
 class TestCommands:
     def test_info(self, capsys):

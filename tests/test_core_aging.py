@@ -117,6 +117,14 @@ class TestOperatingProfile:
         with pytest.raises(ValueError):
             OperatingProfile(active_fraction=0.5, period=0.0)
 
+    @pytest.mark.parametrize("temps", [
+        {"t_active": float("nan")}, {"t_standby": float("nan")},
+        {"t_active": float("inf")}, {"t_standby": float("-inf")},
+    ], ids=["nan-active", "nan-standby", "inf-active", "minus-inf-standby"])
+    def test_non_finite_temperatures_rejected(self, temps):
+        with pytest.raises(ValueError, match="finite"):
+            OperatingProfile(active_fraction=0.5, **temps)
+
     def test_device_stress_validation(self):
         with pytest.raises(ValueError):
             DeviceStress(active_stress_duty=1.2, standby_stressed=True)

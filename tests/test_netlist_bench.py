@@ -63,6 +63,12 @@ class TestParsing:
         with pytest.raises(BenchParseError, match="structural"):
             parse_bench("INPUT(a)\nOUTPUT(y)\ny = NOT(zz)\n")
 
+    @pytest.mark.parametrize("text", ["", "INPUT(a)\ny = NOT(a)\n"],
+                             ids=["empty", "no-output-line"])
+    def test_no_output_declared(self, text):
+        with pytest.raises(BenchParseError, match="no OUTPUT"):
+            parse_bench(text)
+
 
 class TestWideGateDecomposition:
     def test_five_input_nand(self):

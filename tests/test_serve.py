@@ -224,6 +224,47 @@ class TestEndpoints:
         assert status == 400
         assert message in json.loads(body)["error"]
 
+    @pytest.mark.parametrize("body, message", [
+        ({"scenario": {"years": -1}}, "years"),
+        ({"scenario": {"years": float("nan")}}, "years"),
+        ({"scenario": {"years": float("inf")}}, "years"),
+        ({"scenario": {"ras": "x"}}, "RAS"),
+        ({"scenario": {"t_active": 0}}, "kelvin"),
+        ({"scenario": {"t_standby": float("nan")}}, "kelvin"),
+        ({"timeout_s": "x"}, "timeout_s"),
+        ({"timeout_s": 0}, "timeout_s"),
+        ({"timeout_s": float("inf")}, "timeout_s"),
+        ({"max_retries": -1}, "max_retries"),
+        ({"max_retries": "x"}, "max_retries"),
+        ({"max_retries": 1.5}, "max_retries"),
+    ], ids=["negative-years", "nan-years", "inf-years", "bad-ras",
+            "zero-kelvin", "nan-kelvin", "string-timeout", "zero-timeout",
+            "inf-timeout", "negative-retries", "string-retries",
+            "fractional-retries"])
+    def test_unanswerable_submit_400_creates_no_job(self, live_server, body,
+                                                    message):
+        url, _store, service = live_server
+        jobs_before = len(service.queue.jobs())
+        status, answer = _post(f"{url}/submit", dict(body, circuit="c17"))
+        assert status == 400
+        assert message in json.loads(answer)["error"]
+        assert len(service.queue.jobs()) == jobs_before
+
+    @pytest.mark.parametrize("kind", ["no-output", "directory"])
+    def test_unreadable_bench_path_400(self, live_server, tmp_path, kind):
+        url, _store, service = live_server
+        path = tmp_path / "netlist.bench"
+        if kind == "no-output":
+            path.write_text("INPUT(a)\ny = NOT(a)\n")
+        else:
+            path.mkdir()
+        jobs_before = len(service.queue.jobs())
+        status, answer = _post(f"{url}/submit", {"circuit": str(path)})
+        assert status == 400
+        assert ("no OUTPUT" if kind == "no-output" else "cannot read") \
+            in json.loads(answer)["error"]
+        assert len(service.queue.jobs()) == jobs_before
+
     def test_fault_rejected_without_allow_faults(self, live_server):
         url, _store, _service = live_server
         status, body = _post(f"{url}/submit",

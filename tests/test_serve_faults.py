@@ -37,8 +37,7 @@ from repro.serve import (
 
 def _service(tmp_path, **overrides):
     defaults = dict(max_workers=2, timeout_s=60.0, max_retries=1,
-                    backoff_s=0.0, drain_grace_s=0.2,
-                    poll_interval_s=0.01, allow_faults=True)
+                    backoff_s=0.0, drain_grace_s=0.2, allow_faults=True)
     defaults.update(overrides)
     service = AnalysisService(ArtifactStore(tmp_path / "store"),
                               ServeConfig(**defaults))

@@ -195,17 +195,20 @@ def _run_service(root):
                               ServeConfig(max_workers=2, timeout_s=120.0))
     for years in (1.0, 2.0, 3.0):  # distinct keys: no coalescing
         service.submit("c17", AgeScenario(years=years))
-    deadline = time.monotonic() + 120.0
-    while time.monotonic() < deadline:
-        service._poll_workers()
-        service._launch_ready()
+    try:
+        deadline = time.monotonic() + 120.0
+        while time.monotonic() < deadline:
+            service._poll_workers()
+            service._launch_ready()
+            counts = service.queue.counts()
+            if counts[DONE] + counts[FAILED] >= 3 and not service._workers:
+                break
+            time.sleep(0.02)
         counts = service.queue.counts()
-        if counts[DONE] + counts[FAILED] >= 3 and not service._workers:
-            break
-        time.sleep(0.02)
-    counts = service.queue.counts()
-    assert counts[DONE] == 3 and counts[FAILED] == 0
-    return service.metrics_report().to_dict()
+        assert counts[DONE] == 3 and counts[FAILED] == 0
+        return service.metrics_report().to_dict()
+    finally:
+        service.stop(drain=False)
 
 
 class TestDeterministicAdoption:
@@ -227,18 +230,27 @@ class TestDeterministicAdoption:
 
 
 class _HeldWorker:
-    """A :class:`~repro.serve.workers.JobProcess` stand-in: no process,
-    and an outcome the test hands over when it chooses."""
+    """A :class:`~repro.serve.workers.Worker` stand-in: no process, and
+    an outcome the test hands over when it chooses."""
 
-    def __init__(self, job_id, bundle, scenario, *, timeout_s, fault=None):
-        self.job_id = job_id
+    def __init__(self):
+        self.held = frozenset()
+        self.job_id = None
         self.seq = None
         self.pid = None
         self.started = time.monotonic()
         self.result = None
 
+    def start(self, record, bundle, seq):
+        self.job_id, self.seq = record.job_id, seq
+
     def outcome(self):
+        if self.result is not None:
+            self.job_id = None
         return self.result
+
+    def alive(self):
+        return True
 
     def kill(self):
         pass
@@ -250,11 +262,11 @@ class _HeldWorker:
 def _root_order(monkeypatch, root, finish_order):
     """Root spans as (name, job index) after two claimed jobs finish
     in ``finish_order``."""
-    monkeypatch.setattr("repro.serve.server.JobProcess", _HeldWorker)
+    monkeypatch.setattr("repro.serve.server.Worker", _HeldWorker)
     service = AnalysisService(ArtifactStore(root / "store"),
                               ServeConfig(max_workers=2))
     monkeypatch.setattr(service.bundles, "bundle_for",
-                        lambda circuit, circuit_fp: None)
+                        lambda circuit, circuit_fp: _Bundle)
     jobs = [service.submit("c17", AgeScenario(years=y)).job_id
             for y in (1.0, 2.0)]
     service._launch_ready()
@@ -268,6 +280,10 @@ def _root_order(monkeypatch, root, finish_order):
     index = {job: i for i, job in enumerate(jobs)}
     return [(s["name"], index.get(s["attributes"].get("job")))
             for s in service.metrics_report().to_dict()["spans"]]
+
+
+class _Bundle:
+    bundle_key = "held-bundle"
 
 
 def test_attempt_spans_follow_adoption_order(monkeypatch, tmp_path):

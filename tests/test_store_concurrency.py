@@ -149,7 +149,7 @@ class TestThroughService:
                                                             tmp_path):
         service = AnalysisService(
             ArtifactStore(tmp_path / "store"),
-            ServeConfig(max_workers=4, poll_interval_s=0.01))
+            ServeConfig(max_workers=4))
         service.start()
         try:
             barrier = threading.Barrier(6)
