@@ -6,8 +6,7 @@ Layout (all writes atomic: temp file in the target directory, then
     <root>/store.json                          # {"schema_version": 1}
     <root>/bundles/<k[:2]>/<key>.npz           # bundle arrays
     <root>/bundles/<k[:2]>/<key>.json          # bundle manifest
-    <root>/results/<circuit_fp>/<scenario>.json  # cached result payloads
-    <root>/sweeps/<sweep_key>/shard-NNNN.json  # sweep shard checkpoints
+    <root>/results/<circuit_fp>/<scenario>.json  # age numbers, sweep rows
     <root>/jobs/<job_id>.json                  # service job records
     <root>/runs/<run_id>.json                  # run-history records
 
@@ -16,8 +15,14 @@ manifest on disk marks a complete bundle — a crash between the two
 writes leaves an orphan array file that is simply never read (and is
 swept by :meth:`ArtifactStore.clear`).  Same-key bundle writers are
 additionally serialized by a per-key ``.lock`` file (O_CREAT|O_EXCL,
-with stale-lock breaking), so concurrent sweep shards sharing one
-store never interleave an array/manifest pair.
+with stale-lock breaking), so concurrent writers sharing one store
+never interleave an array/manifest pair.
+
+Every JSON record (result, job, run, bundle manifest) is read by one
+rule: an absent file is a miss, and a damaged one (empty, truncated,
+not UTF-8, not a JSON object) is a miss too, counted as
+``store.<kind>_corrupt`` where the kind has counters.  The caller
+recomputes and the atomic rewrite replaces the damaged record.
 
 Invalidation is purely by content address: a structural change to the
 circuit, library, or model produces a different
@@ -37,6 +42,7 @@ import json
 import os
 import tempfile
 import time
+import zipfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -83,10 +89,12 @@ class ArtifactStore:
     Args:
         root: store directory; created lazily on the first write.
 
-    The store never deletes on read and never overwrites an existing
-    bundle (content-addressed payloads are immutable), so concurrent
-    readers and writers on one directory are safe: the worst race is
-    two processes writing the same bytes.
+    The store never overwrites a readable bundle (content-addressed
+    payloads are immutable), and the only file it deletes on read is
+    the manifest of a damaged bundle, so concurrent readers and writers
+    on one directory are safe: the worst race is two processes writing
+    the same bytes, or a recompute of a bundle another process just
+    rewrote.
     """
 
     def __init__(self, root) -> None:
@@ -109,9 +117,6 @@ class ArtifactStore:
 
     def _result_path(self, circuit_fp: str, scenario_key: str) -> Path:
         return self.root / "results" / circuit_fp / f"{scenario_key}.json"
-
-    def _shard_path(self, sweep_key: str, shard: int) -> Path:
-        return self.root / "sweeps" / sweep_key / f"shard-{shard:04d}.json"
 
     def _ensure_marker(self) -> None:
         marker = self.root / "store.json"
@@ -168,7 +173,7 @@ class ArtifactStore:
     def save_bundle(self, bundle: ArtifactBundle) -> None:
         """Persist a bundle (no-op when its key is already stored).
 
-        Safe under concurrent shard writers: a per-key ``.lock`` file
+        Safe under concurrent writers: a per-key ``.lock`` file
         (O_CREAT|O_EXCL) serializes same-key writers, the key is
         re-checked after acquisition (double-checked), and stale locks
         from dead writers are broken after :data:`LOCK_STALE_SECONDS`.
@@ -206,20 +211,70 @@ class ArtifactStore:
                 self._release_lock(lock)
 
     def load_bundle(self, key: str) -> Optional[ArtifactBundle]:
-        """The stored bundle for ``key``, or ``None`` (counted miss)."""
+        """The stored bundle for ``key``, or ``None`` (counted miss).
+
+        A damaged bundle (an unreadable manifest or ``.npz``) is a miss
+        too, also counted as ``store.bundle_corrupt``: its manifest is
+        dropped, so :meth:`has_bundle` reads the bundle as incomplete
+        and the recompute's :meth:`save_bundle` rewrites it.
+        """
         path = self._manifest_path(key)
-        if not path.exists():
+        manifest, corrupt = self._read_record(path)
+        bundle = None
+        if manifest is not None:
+            with obs.span("artifacts.store.load", key=key[:12]):
+                try:
+                    with np.load(self._arrays_path(key)) as npz:
+                        arrays = {name: npz[name] for name in npz.files}
+                    bundle = ArtifactBundle.from_payload(manifest, arrays)
+                except (OSError, EOFError, ValueError, KeyError, TypeError,
+                        zipfile.BadZipFile):
+                    corrupt = True
+        if corrupt:
+            obs.count("store.bundle_corrupt")
+            path.unlink(missing_ok=True)
+        if bundle is None:
             self.stats.record_miss("bundle")
             obs.count("store.bundle_misses")
             return None
-        with obs.span("artifacts.store.load", key=key[:12]):
-            manifest = json.loads(path.read_text("utf-8"))
-            with np.load(self._arrays_path(key)) as npz:
-                arrays = {name: npz[name] for name in npz.files}
-            bundle = ArtifactBundle.from_payload(manifest, arrays)
         self.stats.record_hit("bundle")
         obs.count("store.bundle_hits")
         return bundle
+
+    # -- JSON records --------------------------------------------------------
+
+    @staticmethod
+    def _read_record(path: Path) -> Tuple[Optional[Dict[str, Any]], bool]:
+        """``(payload, corrupt)``, uncounted: ``payload`` is ``None`` for
+        an absent or damaged (empty, truncated, non-object) record."""
+        try:
+            payload = json.loads(path.read_bytes())
+        except FileNotFoundError:
+            return None, False
+        except ValueError:  # empty, truncated, or not UTF-8
+            return None, True
+        if not isinstance(payload, dict):
+            return None, True
+        return payload, False
+
+    def _load_record(self, kind: str, path: Path
+                     ) -> Optional[Dict[str, Any]]:
+        """One record's payload, or ``None`` (a counted ``kind`` miss).
+
+        A damaged record is a miss too, also counted as
+        ``store.<kind>_corrupt``: the caller recomputes, and the next
+        save replaces it atomically.
+        """
+        payload, corrupt = self._read_record(path)
+        if corrupt:
+            obs.count(f"store.{kind}_corrupt")
+        if payload is None:
+            self.stats.record_miss(kind)
+            obs.count(f"store.{kind}_misses")
+            return None
+        self.stats.record_hit(kind)
+        obs.count(f"store.{kind}_hits")
+        return payload
 
     # -- results -------------------------------------------------------------
 
@@ -231,21 +286,6 @@ class ArtifactStore:
                            payload)
         obs.count("store.result_saves")
 
-    def _read_result(self, circuit_fp: str, scenario_key: str
-                     ) -> Tuple[Optional[Dict[str, Any]], bool]:
-        """``(payload, corrupt)``, uncounted: ``payload`` is ``None`` for
-        an absent or damaged (empty, truncated, non-object) record."""
-        path = self._result_path(circuit_fp, scenario_key)
-        try:
-            payload = json.loads(path.read_bytes())
-        except FileNotFoundError:
-            return None, False
-        except ValueError:  # empty, truncated, or not UTF-8
-            return None, True
-        if not isinstance(payload, dict):
-            return None, True
-        return payload, False
-
     def has_result(self, circuit_fp: str, scenario_key: str) -> bool:
         """Whether a readable cached result exists (no hit/miss accounting).
 
@@ -254,7 +294,8 @@ class ArtifactStore:
         measured by :meth:`load_result` alone.  A damaged record reads
         as absent here too, so the service recomputes it.
         """
-        return self._read_result(circuit_fp, scenario_key)[0] is not None
+        path = self._result_path(circuit_fp, scenario_key)
+        return self._read_record(path)[0] is not None
 
     def load_result(self, circuit_fp: str, scenario_key: str
                     ) -> Optional[Dict[str, Any]]:
@@ -264,16 +305,8 @@ class ArtifactStore:
         a miss too, also counted as ``store.result_corrupt``: the caller
         recomputes, and :meth:`save_result` replaces it atomically.
         """
-        payload, corrupt = self._read_result(circuit_fp, scenario_key)
-        if corrupt:
-            obs.count("store.result_corrupt")
-        if payload is None:
-            self.stats.record_miss("result")
-            obs.count("store.result_misses")
-            return None
-        self.stats.record_hit("result")
-        obs.count("store.result_hits")
-        return payload
+        return self._load_record(
+            "result", self._result_path(circuit_fp, scenario_key))
 
     # -- service job records --------------------------------------------------
 
@@ -292,11 +325,9 @@ class ArtifactStore:
         obs.count("store.job_saves")
 
     def load_job(self, job_id: str) -> Optional[Dict[str, Any]]:
-        """One job record's payload, or ``None`` when unknown."""
-        path = self._job_path(job_id)
-        if not path.exists():
-            return None
-        return json.loads(path.read_text("utf-8"))
+        """One job record's payload, or ``None`` when unknown or damaged
+        (uncounted; :meth:`JobQueue.recover` counts it as invalid)."""
+        return self._read_record(self._job_path(job_id))[0]
 
     def list_jobs(self) -> List[str]:
         """Sorted ids of every persisted job record."""
@@ -322,16 +353,9 @@ class ArtifactStore:
         obs.count("store.run_saves")
 
     def load_run(self, run_id: str) -> Optional[Dict[str, Any]]:
-        """One run record's payload, or ``None`` (counted miss)."""
-        path = self._run_path(run_id)
-        if not path.exists():
-            self.stats.record_miss("run")
-            obs.count("store.run_misses")
-            return None
-        payload = json.loads(path.read_text("utf-8"))
-        self.stats.record_hit("run")
-        obs.count("store.run_hits")
-        return payload
+        """One run record's payload, or ``None`` (counted miss; a damaged
+        record is also counted as ``store.run_corrupt``)."""
+        return self._load_record("run", self._run_path(run_id))
 
     def list_runs(self) -> List[str]:
         """Sorted ids of every run record (ids are time-sortable)."""
@@ -340,66 +364,17 @@ class ArtifactStore:
             return []
         return sorted(p.stem for p in runs_dir.glob("*.json"))
 
-    # -- sweep shard checkpoints ----------------------------------------------
-
-    def save_shard(self, sweep_key: str, shard: int,
-                   payload: Dict[str, Any]) -> None:
-        """Checkpoint one completed sweep shard (atomic tmp + replace).
-
-        A shard file either exists complete or not at all — a sweep
-        killed mid-shard simply re-runs that shard on resume.
-        """
-        self._ensure_marker()
-        _atomic_write_json(self._shard_path(sweep_key, shard), payload)
-        obs.count("store.shard_saves")
-
-    def load_shard(self, sweep_key: str, shard: int
-                   ) -> Optional[Dict[str, Any]]:
-        """One shard's checkpoint payload, or ``None`` (counted miss)."""
-        path = self._shard_path(sweep_key, shard)
-        if not path.exists():
-            self.stats.record_miss("shard")
-            obs.count("store.shard_misses")
-            return None
-        payload = json.loads(path.read_text("utf-8"))
-        self.stats.record_hit("shard")
-        obs.count("store.shard_hits")
-        return payload
-
-    def list_shards(self, sweep_key: str) -> List[int]:
-        """Sorted indices of the checkpointed shards of one sweep."""
-        sweep_dir = self.root / "sweeps" / sweep_key
-        out = []
-        for path in sweep_dir.glob("shard-*.json"):
-            try:
-                out.append(int(path.stem.split("-", 1)[1]))
-            except ValueError:
-                continue
-        return sorted(out)
-
-    def clear_sweep(self, sweep_key: str) -> int:
-        """Drop every checkpoint of one sweep; returns files removed."""
-        import shutil
-
-        sweep_dir = self.root / "sweeps" / sweep_key
-        if not sweep_dir.is_dir():
-            return 0
-        removed = sum(1 for p in sweep_dir.rglob("*") if p.is_file())
-        shutil.rmtree(sweep_dir)
-        return removed
-
     # -- maintenance ---------------------------------------------------------
 
     def info(self) -> Dict[str, Any]:
         """Inventory summary: bundle/result counts and on-disk bytes."""
         bundles = sorted(p for p in self.root.glob("bundles/*/*.json"))
         results = sorted(self.root.glob("results/*/*.json"))
-        shards = sorted(self.root.glob("sweeps/*/shard-*.json"))
         jobs = sorted(self.root.glob("jobs/*.json"))
         runs = sorted(self.root.glob("runs/*.json"))
         total = 0
-        for pattern in ("bundles/*/*", "results/*/*", "sweeps/*/*",
-                        "jobs/*", "runs/*", "store.json"):
+        for pattern in ("bundles/*/*", "results/*/*", "jobs/*", "runs/*",
+                        "store.json"):
             for path in self.root.glob(pattern):
                 if path.is_file():
                     total += path.stat().st_size
@@ -408,7 +383,6 @@ class ArtifactStore:
             "schema_version": STORE_VERSION,
             "bundles": len(bundles),
             "results": len(results),
-            "shards": len(shards),
             "jobs": len(jobs),
             "runs": len(runs),
             "bytes": total,
@@ -419,9 +393,10 @@ class ArtifactStore:
         """Delete every stored bundle and result; returns files removed.
 
         Only touches the store's own subtrees (``bundles/``,
-        ``results/``, ``sweeps/``, ``jobs/``, ``runs/``,
-        ``store.json``) — a mistyped ``--store`` pointing at a source
-        directory cannot lose anything else.
+        ``results/``, ``jobs/``, ``runs/``, ``store.json``, and the
+        ``sweeps/`` shard checkpoints of stores written before sweep
+        rows became result records) — a mistyped ``--store`` pointing
+        at a source directory cannot lose anything else.
         """
         import shutil
 

@@ -22,11 +22,12 @@ Gives the paper's main analyses a shell-friendly surface:
 Circuits are named by ISCAS85 benchmark (``c432`` ...), bundled netlist
 (``c17``), or a ``.bench`` file path.
 
-``age`` and ``sweep`` accept ``--store DIR``: compiled artifacts (and,
-for ``age``, the final numbers) persist in a content-addressed
-:class:`~repro.artifacts.store.ArtifactStore`, so a repeated run
-recomputes nothing.  Store diagnostics go to stderr; stdout carries
-only the results and is byte-identical between cold and warm runs.
+``age`` and ``sweep`` accept ``--store DIR``: compiled artifacts and
+the final numbers (``age``'s four numbers, each ``sweep`` row) persist
+in a content-addressed :class:`~repro.artifacts.store.ArtifactStore`,
+so a repeated run recomputes nothing.  Store diagnostics go to
+stderr; stdout carries only the results and is byte-identical between
+cold and warm runs.
 With ``--store`` active, ``age``/``sweep`` (and ``serve`` at drain)
 also file a run record — the traced RunReport plus host/git/command
 identity — into the store's ``runs/`` history, browsable with
@@ -93,6 +94,20 @@ def _profile_from(args) -> OperatingProfile:
                                          t_standby=args.t_standby)
     except ValueError as exc:
         raise SystemExit(f"error: invalid operating profile: {exc}") from None
+
+
+def _search_profile_from(args) -> OperatingProfile:
+    """:func:`_profile_from` for the MLV-search commands, which also
+    exit with a one-line ``error:`` message, before any work, on fewer
+    than two ``--vectors`` or a ``--set-size`` below one."""
+    profile = _profile_from(args)
+    if args.vectors < 2:
+        raise SystemExit(f"error: --vectors must be at least 2, "
+                         f"got {args.vectors}")
+    if args.set_size < 1:
+        raise SystemExit(f"error: --set-size must be at least 1, "
+                         f"got {args.set_size}")
+    return profile
 
 
 def _engine_lines() -> List[str]:
@@ -277,7 +292,7 @@ def cmd_mlv(args) -> int:
     """``mlv``: leakage/NBTI co-optimized standby vector."""
     from repro.flow import AnalysisPlatform
     circuit = resolve_circuit(args.circuit)
-    profile = _profile_from(args)
+    profile = _search_profile_from(args)
     platform = AnalysisPlatform()
     report = platform.co_optimize(circuit, profile, years(args.years),
                                   n_vectors=args.vectors, seed=args.seed,
@@ -382,14 +397,16 @@ def cmd_table4(args) -> int:
 def cmd_sweep(args) -> int:
     """``sweep``: parallel leakage/NBTI co-optimization over circuits.
 
-    With ``--shards N`` the sweep runs in deterministic round-robin
-    shards checkpointed through ``--store``; a killed (or
-    ``--max-shards``-limited) run resumes with ``--resume`` and the
-    completed table is byte-identical to an uninterrupted run.
+    With ``--store`` every row is a result record keyed by
+    ``(circuit_fingerprint, scenario_key)``: stored rows print from
+    their records (no bundle load, no lowering, no worker), only the
+    missing rows run, and each is saved as soon as it and every row
+    before it are done.  Re-running a stopped sweep on the same store
+    resumes it, and the table is byte-identical to an uninterrupted
+    run.
     """
-    from repro.flow.parallel import (run_co_optimization_sweep,
-                                     run_sharded_co_optimization_sweep)
-    profile = _profile_from(args)
+    from repro.flow.parallel import run_co_optimization_sweep
+    profile = _search_profile_from(args)
     for name in args.circuits:
         resolve_circuit(name)  # fail fast on unknown names
     store = None
@@ -397,33 +414,12 @@ def cmd_sweep(args) -> int:
         from repro.artifacts import ArtifactStore
 
         store = ArtifactStore(args.store)
-    shards = getattr(args, "shards", None)
-    if shards is not None:
-        if store is None:
-            print("error: --shards requires --store (checkpoints live "
-                  "in the artifact store)", file=sys.stderr)
-            return 2
-        res = run_sharded_co_optimization_sweep(
-            args.circuits, profile, years(args.years), store=store,
-            n_shards=shards, resume=args.resume,
-            max_shards_per_run=args.max_shards,
-            n_vectors=args.vectors, max_set_size=args.set_size,
-            seed=args.seed, max_workers=args.workers)
+    rows = run_co_optimization_sweep(
+        args.circuits, profile, years(args.years),
+        n_vectors=args.vectors, max_set_size=args.set_size,
+        seed=args.seed, max_workers=args.workers, store=store)
+    if store is not None:
         _store_note(store)
-        if not res.complete:
-            print(f"sweep checkpointed: {len(res.completed_shards)}/"
-                  f"{res.total_shards} shards done "
-                  f"({len(res.ran_shards)} this run); re-run with "
-                  f"--resume to continue", file=sys.stderr)
-            return 0
-        rows = res.rows
-    else:
-        rows = run_co_optimization_sweep(
-            args.circuits, profile, years(args.years),
-            n_vectors=args.vectors, max_set_size=args.set_size,
-            seed=args.seed, max_workers=args.workers, store=store)
-        if store is not None:
-            _store_note(store)
     printable = [
         [r.name, ns(r.fresh_delay), pct(r.min_degradation),
          pct(r.mlv_diff, 3), pct(r.worst_degradation),
@@ -928,8 +924,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_args(p, suppress=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("sweep",
-                       help="co-optimize many circuits in parallel")
+    p = sub.add_parser(
+        "sweep", help="co-optimize many circuits in parallel",
+        description="Co-optimize many circuits, one worker process per "
+                    "circuit. With --store DIR each row is a result "
+                    "record: a re-run on the same store prints stored "
+                    "rows from their records and computes only the "
+                    "missing ones, so re-running a stopped sweep resumes "
+                    "it (the --shards, --resume and --max-shards flags "
+                    "are gone). A fully stored sweep prints 'bundle "
+                    "hits=0 misses=0, result hits=N misses=0' on stderr; "
+                    "its RunReport counts stored rows as result hits in "
+                    "the 'store:' cache scope and holds no worker spans "
+                    "for them. Without --store nothing is stored and "
+                    "every row is computed.")
     p.add_argument("circuits", nargs="+",
                    help="circuits to sweep (one worker process each)")
     _add_profile_args(p)
@@ -942,16 +950,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (default: one per circuit, "
                         "capped at the CPU count; 1 = serial)")
     p.add_argument("--store", metavar="DIR", default=None,
-                   help="persistent artifact store for the shipped "
-                        "compiled bundles")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
-                   help="split the sweep into N resumable shards "
-                        "checkpointed through --store")
-    p.add_argument("--resume", action="store_true",
-                   help="resume a sharded sweep from its checkpoints")
-    p.add_argument("--max-shards", type=int, default=None, metavar="M",
-                   help="run at most M pending shards, checkpoint, "
-                        "and exit (resume later with --resume)")
+                   help="persistent artifact store: each row is saved as "
+                        "a result record as soon as it and every row "
+                        "before it are done (a re-run resumes), and the "
+                        "shipped compiled bundles persist")
     _add_obs_args(p, suppress=True)
     p.set_defaults(func=cmd_sweep)
 

@@ -16,16 +16,12 @@ from repro.flow.report import format_table, mv, ns, pct, ua
 from repro.flow.parallel import (
     CoOptimizationJob,
     PotentialSweepJob,
-    ShardedSweepResult,
     SweepRow,
     co_optimize_circuit,
     load_circuit,
     run_co_optimization_sweep,
     run_potential_sweep,
-    run_sharded_co_optimization_sweep,
-    run_sharded_sweep,
     run_sweep,
-    shard_jobs,
 )
 
 __all__ = [
@@ -34,9 +30,7 @@ __all__ = [
     "hvt_leakage_factor",
     "SizingResult", "SizingTimer", "size_for_aging",
     "format_table", "mv", "ns", "pct", "ua",
-    "CoOptimizationJob", "PotentialSweepJob", "ShardedSweepResult",
-    "SweepRow", "co_optimize_circuit", "load_circuit",
-    "run_co_optimization_sweep", "run_potential_sweep",
-    "run_sharded_co_optimization_sweep", "run_sharded_sweep",
-    "run_sweep", "shard_jobs",
+    "CoOptimizationJob", "PotentialSweepJob", "SweepRow",
+    "co_optimize_circuit", "load_circuit", "run_co_optimization_sweep",
+    "run_potential_sweep", "run_sweep",
 ]

@@ -13,20 +13,26 @@ circuit.  Design points:
   produce equal results, field for field.
 * **Graceful serial fallback** — ``max_workers=1``, a pool that cannot
   be created (restricted environments), or a pool that breaks mid-run
-  all degrade to an in-process loop.  Worker *logic* errors are not
-  swallowed: they propagate with their original exception type.
+  all degrade to an in-process loop over the jobs not yet returned.
+  Worker *logic* errors are not swallowed: they propagate with their
+  original exception type.
 
-Jobs are small frozen dataclasses naming the circuit.  By default the
-parent lowers each distinct circuit **once** and ships the compiled
-artifacts to the workers as an
-:class:`~repro.artifacts.bundle.ArtifactBundle` (plain ndarrays/tuples,
-cheap to pickle): a worker hydrates a warm
+Jobs are small frozen dataclasses naming the circuit.  The parent
+lowers each distinct circuit **once** and ships the compiled artifacts
+to the workers as an :class:`~repro.artifacts.bundle.ArtifactBundle`
+(plain ndarrays/tuples, cheap to pickle): a worker hydrates a warm
 :class:`~repro.context.AnalysisContext` instead of re-running the
-lowerings.  Hydrated state is bit-identical to rebuilt state, so the
-pooled==serial and bundled==rebuilt (``ship_bundles=False``) results
-are equal field for field.  An optional
-:class:`~repro.artifacts.store.ArtifactStore` persists the bundles
-across runs.
+lowerings.  Hydrated state is bit-identical to rebuilt state, so a
+worker given a bundle and one given ``bundle=None`` (which loads and
+lowers the circuit itself) return equal results field for field.
+
+An optional :class:`~repro.artifacts.store.ArtifactStore` persists the
+bundles across runs.  A co-optimization sweep also keeps each row as a
+result record, keyed by ``(circuit_fingerprint, scenario_key)`` like
+``repro age --store`` and ``repro serve``: a stored row is answered
+from its record alone, only the missing rows run, and each computed
+row is saved as soon as it and every row before it are done.  A re-run
+on the same store is therefore the resume of a stopped sweep.
 """
 
 from __future__ import annotations
@@ -36,11 +42,13 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -126,83 +134,86 @@ def run_sweep(worker: Callable[[J], R], jobs: Sequence[J], *,
     produce the same span structure, metric totals, and cache-stats
     list regardless of which worker finished first.
     """
-    return _sweep_outcomes(worker, jobs, max_workers=max_workers,
-                           finalize=_merge_observations)
+    return list(_sweep_results(worker, jobs, max_workers=max_workers))
 
 
-def _sweep_outcomes(worker: Callable[[J], R], jobs: Sequence[J], *,
-                    max_workers: Optional[int],
-                    finalize: Callable[[List[Any], bool], Any]) -> Any:
-    """The :func:`run_sweep` engine with a pluggable finalizer.
+def _sweep_results(worker: Callable[[J], R], jobs: Sequence[J], *,
+                   max_workers: Optional[int]) -> Iterator[R]:
+    """The :func:`run_sweep` engine: yield each job's result in job order.
 
-    ``finalize(outcomes, observed)`` runs inside the ``flow.run_sweep``
-    span with the raw outcomes in job order — :func:`run_sweep` merges
-    observation payloads immediately; the sharded runner keeps them raw
-    so they can be checkpointed and merged on sweep completion.
+    A caller that saves each result as it is yielded keeps results
+    ``0..k-1`` of a sweep stopped at job ``k`` (a worker exception,
+    Ctrl-C or a kill).  When the pool fails, the jobs not yet yielded
+    run serially.  Observation payloads merge as they are yielded,
+    inside the ``flow.run_sweep`` span, so merge order is job order.
     """
     jobs = list(jobs)
     if not jobs:
-        return finalize([], obs.tracing_enabled())
+        return
     if max_workers is None:
         max_workers = min(len(jobs), os.cpu_count() or 1)
 
     observed = obs.tracing_enabled()
     call = _ObservedWorker(worker) if observed else worker
 
-    def serial() -> Any:
-        with obs.span("flow.run_sweep", jobs=len(jobs), pooled=False):
-            return finalize([call(job) for job in jobs], observed)
+    def unwrap(index: int, outcome: Any) -> Any:
+        return _merge_observation(index, outcome) if observed else outcome
 
-    if max_workers <= 1:
-        return serial()
+    done = 0
+    if max_workers > 1 and _picklable(call, jobs[0]):
+        try:
+            with obs.span("flow.run_sweep", jobs=len(jobs), pooled=True,
+                          max_workers=max_workers):
+                with ProcessPoolExecutor(max_workers=max_workers) as pool:
+                    futures = [pool.submit(call, job) for job in jobs]
+                    for future in futures:
+                        yield unwrap(done, future.result())
+                        done += 1
+            return
+        except (OSError, NotImplementedError, ImportError,
+                BrokenProcessPool, pickle.PicklingError):
+            # The *pool* failed, not the analysis: degrade to serial.
+            logger.warning("run_sweep: process pool unavailable, "
+                           "falling back to serial execution")
+    with obs.span("flow.run_sweep", jobs=len(jobs) - done, pooled=False):
+        for index in range(done, len(jobs)):
+            yield unwrap(index, call(jobs[index]))
+
+
+def _picklable(call: Callable[[J], R], job: J) -> bool:
+    """Whether the pool can ship ``call`` and ``job``.
+
+    Probed up front: an unpicklable worker/job would otherwise surface
+    from inside the pool's feeder thread with a hard-to-catch exception
+    type.  Jobs of one sweep are structurally homogeneous, so probing
+    the first is enough — probing all of them would re-serialize every
+    shipped bundle.
+    """
     try:
-        # Probe up front: an unpicklable worker/job would otherwise
-        # surface from inside the pool's feeder thread with a
-        # hard-to-catch exception type.  Jobs of one sweep are
-        # structurally homogeneous, so probing the first is enough —
-        # probing all of them would re-serialize every shipped bundle.
-        pickle.dumps((call, jobs[0]))
+        pickle.dumps((call, job))
     except Exception:
         logger.warning("run_sweep: jobs not picklable, running serially")
-        return serial()
-    try:
-        with obs.span("flow.run_sweep", jobs=len(jobs), pooled=True,
-                      max_workers=max_workers):
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                futures = [pool.submit(call, job) for job in jobs]
-                outcomes = [f.result() for f in futures]
-            return finalize(outcomes, observed)
-    except (OSError, NotImplementedError, ImportError,
-            BrokenProcessPool, pickle.PicklingError):
-        # The *pool* failed, not the analysis: degrade to serial.
-        logger.warning("run_sweep: process pool unavailable, "
-                       "falling back to serial execution")
-        return serial()
+        return False
+    return True
 
 
-def _merge_observations(outcomes: List[Any], observed: bool) -> List[Any]:
-    """Unwrap :class:`WorkerObservation` payloads, merging in job order.
+def _merge_observation(index: int, payload: WorkerObservation) -> Any:
+    """Merge one job's :class:`WorkerObservation`; return its result.
 
     Spans are adopted under the current span with a ``worker`` index
     attribute (plus the worker's OS ``pid`` when it differs from the
     parent's, i.e. a genuinely pooled run — serial sweeps stay
-    pid-free, preserving pooled==serial span shapes), metric snapshots
-    are folded into the installed registry, and cache-stats entries
-    are re-registered in the parent scope.  Merge order is the job
-    order of ``outcomes`` — deterministic by construction.
+    pid-free, preserving pooled==serial span shapes), the metric
+    snapshot is folded into the installed registry, and cache-stats
+    entries are re-registered in the parent scope.  Callers merge in
+    job order, so the result is deterministic by construction.
     """
-    if not observed:
-        return outcomes
-    tracer = obs.get_tracer()
-    registry = obs.get_metrics()
-    results = []
-    for i, payload in enumerate(outcomes):
-        tracer.adopt(payload.spans, **_adoption_attrs(i, payload.pid))
-        registry.merge(payload.metrics)
-        for entry in payload.cache_stats:
-            obs.register_cache_snapshot(entry)
-        results.append(payload.result)
-    return results
+    obs.get_tracer().adopt(payload.spans,
+                           **_adoption_attrs(index, payload.pid))
+    obs.get_metrics().merge(payload.metrics)
+    for entry in payload.cache_stats:
+        obs.register_cache_snapshot(entry)
+    return payload.result
 
 
 def _adoption_attrs(index: int, pid: Optional[int]) -> Dict[str, Any]:
@@ -217,7 +228,7 @@ def _adoption_attrs(index: int, pid: Optional[int]) -> Dict[str, Any]:
 # -- bundle shipping ---------------------------------------------------------
 
 
-def _bundle_for(name: str, store: Any = None):
+def _bundle_for(circuit: Any, store: Any = None):
     """Lower one circuit in the parent and snapshot its artifacts.
 
     With a store, the snapshot is served from (and persisted to) the
@@ -226,22 +237,10 @@ def _bundle_for(name: str, store: Any = None):
     from repro.artifacts.bundle import ArtifactBundle
     from repro.context import AnalysisContext
 
-    circuit = load_circuit(name)
     context = AnalysisContext(circuit, store=store)
     if store is not None:
         return context.save_to_store()
     return ArtifactBundle.snapshot(context)
-
-
-def _bundles_for(names: Sequence[str], store: Any = None) -> List[Any]:
-    """One bundle per job, lowering each *distinct* circuit only once."""
-    built: Dict[str, Any] = {}
-    out = []
-    for name in names:
-        if name not in built:
-            built[name] = _bundle_for(name, store)
-        out.append(built[name])
-    return out
 
 
 # -- Table 3: leakage/NBTI co-optimization per circuit -----------------------
@@ -338,288 +337,96 @@ def run_co_optimization_sweep(circuits: Sequence[str],
                               range_fraction: float = 0.04,
                               seed: int = 0,
                               max_workers: Optional[int] = None,
-                              ship_bundles: bool = True,
                               store: Any = None) -> List[SweepRow]:
     """Co-optimize many circuits, one worker per circuit.
 
     Returns one :class:`SweepRow` per circuit, in input order;
-    ``max_workers=1`` runs the identical computation serially.
+    ``max_workers=1`` runs the identical computation serially.  The
+    parent lowers each distinct circuit once and ships the compiled
+    artifacts to the workers.
 
-    With ``ship_bundles`` (the default) the parent lowers each distinct
-    circuit once and ships the compiled artifacts to the workers;
-    ``ship_bundles=False`` restores the rebuild-per-worker path (the
-    two are bit-identical).  ``store`` optionally persists/serves the
-    parent's bundles through an
-    :class:`~repro.artifacts.store.ArtifactStore`.
+    With ``store`` (an :class:`~repro.artifacts.store.ArtifactStore`)
+    each row is a result record keyed by ``(circuit_fingerprint,``
+    :func:`_row_key` ``)``.  A stored row is answered from its record
+    alone (no bundle load, no lowering, no worker) under the name given
+    here; a damaged or incomplete record is a miss.  Only the missing
+    rows run, and each is saved as soon as it and every row before it
+    are done: a sweep stopped at job ``k`` keeps rows ``0..k-1``, and a
+    re-run on the same store computes only the rest.  The store also
+    persists the shipped bundles.
     """
-    bundles = (_bundles_for(circuits, store) if ship_bundles
-               else [None] * len(circuits))
+    params = dict(lifetime=lifetime, n_vectors=n_vectors,
+                  max_set_size=max_set_size, range_fraction=range_fraction,
+                  seed=seed)
+    loaded = {name: load_circuit(name) for name in dict.fromkeys(circuits)}
+    rows: List[Optional[SweepRow]] = [None] * len(circuits)
+    if store is not None:
+        from repro.artifacts import circuit_fingerprint
+
+        key = _row_key(profile, **params)
+        fps = {name: circuit_fingerprint(c) for name, c in loaded.items()}
+        rows = [_decode_row(name, store.load_result(fps[name], key))
+                for name in circuits]
+    missing = [i for i, row in enumerate(rows) if row is None]
+    names = [circuits[i] for i in missing]
+    bundles = {name: _bundle_for(loaded[name], store)
+               for name in dict.fromkeys(names)}
     jobs = [CoOptimizationJob(circuit=name, profile=profile,
-                              lifetime=lifetime, n_vectors=n_vectors,
-                              max_set_size=max_set_size,
-                              range_fraction=range_fraction, seed=seed,
-                              bundle=bundle)
-            for name, bundle in zip(circuits, bundles)]
-    return run_sweep(co_optimize_circuit, jobs, max_workers=max_workers)
-
-
-# -- sharded, resumable sweeps ----------------------------------------------
-
-#: Shard checkpoint payload layout version.
-SHARD_SCHEMA = 1
-
-
-def shard_jobs(n_jobs: int, n_shards: int) -> List[Tuple[int, ...]]:
-    """Deterministic round-robin job-index partition.
-
-    Shard ``k`` owns indices ``k, k + n_shards, k + 2*n_shards, ...``;
-    exactly ``n_shards`` tuples come back (trailing ones empty when
-    there are fewer jobs than shards).  Round-robin keeps every shard's
-    load representative of the whole sweep — a sorted-by-size job list
-    does not put all the big circuits in the last shard.
-    """
-    if n_shards < 1:
-        raise ValueError("need at least one shard")
-    return [tuple(range(k, n_jobs, n_shards)) for k in range(n_shards)]
-
-
-@dataclass(frozen=True)
-class ShardedSweepResult:
-    """Outcome of one :func:`run_sharded_sweep` invocation.
-
-    ``rows`` is populated (results in original job order) only when
-    every shard is checkpointed; a partial run returns ``rows=None``
-    and the caller re-invokes with ``resume=True`` to continue.
-    """
-
-    rows: Optional[List[Any]]
-    total_shards: int
-    completed_shards: Tuple[int, ...]
-    ran_shards: Tuple[int, ...]
-    resumed_shards: Tuple[int, ...]
-
-    @property
-    def complete(self) -> bool:
-        return len(self.completed_shards) == self.total_shards
-
-
-def _identity(value: Any) -> Any:
-    return value
-
-
-def run_sharded_sweep(worker: Callable[[J], R], jobs: Sequence[J], *,
-                      store: Any, sweep_key: str, n_shards: int,
-                      resume: bool = False,
-                      max_shards_per_run: Optional[int] = None,
-                      max_workers: Optional[int] = None,
-                      encode: Callable[[R], Any] = _identity,
-                      decode: Callable[[Any], R] = _identity,
-                      prepare: Optional[Callable[[List[J]], List[J]]] = None
-                      ) -> ShardedSweepResult:
-    """Run ``jobs`` in deterministic shards with per-shard checkpoints.
-
-    Each completed shard is written atomically to ``store`` (under
-    ``sweeps/<sweep_key>/``) as JSON: encoded results plus, when
-    collection is active, the workers' observation payloads.  A killed
-    sweep loses at most the in-flight shard; ``resume=True`` loads the
-    finished shards and runs only the missing ones, and the assembled
-    results are field-for-field identical to an uninterrupted run
-    (JSON round-trips floats exactly).
-
-    On completion the checkpointed observation payloads are merged in
-    **original job order** — the same pooled==serial semantics as
-    :func:`run_sweep`, now additionally invariant to how the sweep was
-    split or interrupted.
-
-    Args:
-        store: an :class:`~repro.artifacts.store.ArtifactStore`.
-        sweep_key: content key naming this sweep's parameters; a new
-            key starts a fresh checkpoint directory.
-        n_shards: total shards (see :func:`shard_jobs`).
-        resume: load existing checkpoints instead of clearing them.
-        max_shards_per_run: stop (checkpointed) after running this many
-            pending shards — the clean interruption mechanism.
-        encode / decode: JSON (de)serializers for one worker result.
-        prepare: optional per-shard job hook (e.g. bundle attachment),
-            called only for shards that actually run.
-    """
-    jobs = list(jobs)
-    if store is None:
-        raise ValueError("sharded sweeps need an artifact store")
-    shards = shard_jobs(len(jobs), n_shards)
-    if not resume:
-        store.clear_sweep(sweep_key)
-    payloads: Dict[int, Dict[str, Any]] = {}
-    resumed: List[int] = []
-    if resume:
-        for k in store.list_shards(sweep_key):
-            payload = store.load_shard(sweep_key, k)
-            if (payload is None or payload.get("schema") != SHARD_SCHEMA
-                    or payload.get("total_shards") != n_shards):
-                continue  # unreadable/stale checkpoint: recompute it
-            payloads[k] = payload
-            resumed.append(k)
-    budget = n_shards if max_shards_per_run is None else max_shards_per_run
-    ran: List[int] = []
-    with obs.span("flow.sharded_sweep", sweep=sweep_key[:12],
-                  shards=n_shards, resume=resume):
-        for k, indices in enumerate(shards):
-            if k in payloads:
-                continue
-            if len(ran) >= budget:
-                break
-            shard_input = [jobs[i] for i in indices]
-            if prepare is not None:
-                shard_input = prepare(shard_input)
-            with obs.span("flow.sweep_shard", shard=k, jobs=len(indices)):
-                outcomes, observed = _sweep_outcomes(
-                    worker, shard_input, max_workers=max_workers,
-                    finalize=lambda out, ob: (list(out), ob))
-            if observed:
-                results = [encode(o.result) for o in outcomes]
-                observations: Optional[List[Dict[str, Any]]] = [
-                    {"spans": o.spans, "metrics": o.metrics,
-                     "cache_stats": o.cache_stats, "pid": o.pid}
-                    for o in outcomes]
-            else:
-                results = [encode(o) for o in outcomes]
-                observations = None
-            payload = {"schema": SHARD_SCHEMA, "sweep_key": sweep_key,
-                       "shard": k, "total_shards": n_shards,
-                       "job_indices": list(indices), "results": results,
-                       "observations": observations}
-            store.save_shard(sweep_key, k, payload)
-            payloads[k] = payload
-            ran.append(k)
-        rows = (_assemble_sharded(payloads, len(jobs), decode)
-                if len(payloads) == n_shards else None)
-    return ShardedSweepResult(rows=rows, total_shards=n_shards,
-                              completed_shards=tuple(sorted(payloads)),
-                              ran_shards=tuple(ran),
-                              resumed_shards=tuple(sorted(resumed)))
-
-
-def _assemble_sharded(payloads: Dict[int, Dict[str, Any]], n_jobs: int,
-                      decode: Callable[[Any], Any]) -> List[Any]:
-    """Decode checkpointed shards into job order, merging observations.
-
-    Observation payloads (when the shards were run under collection)
-    are adopted/merged **by ascending job index**, exactly like
-    :func:`_merge_observations` does for a flat sweep — the final
-    RunReport does not depend on shard layout or interruption history.
-    """
-    entries: Dict[int, Tuple[Any, Optional[Dict[str, Any]]]] = {}
-    for k in sorted(payloads):
-        payload = payloads[k]
-        observations = payload.get("observations")
-        for slot, i in enumerate(payload["job_indices"]):
-            entries[i] = (payload["results"][slot],
-                          observations[slot] if observations else None)
-    if len(entries) != n_jobs:
-        raise ValueError(
-            f"shard checkpoints cover {len(entries)} of {n_jobs} jobs")
-    merge = obs.tracing_enabled()
-    tracer = obs.get_tracer() if merge else None
-    registry = obs.get_metrics() if merge else None
-    rows = []
-    for i in range(n_jobs):
-        encoded, observation = entries[i]
-        rows.append(decode(encoded))
-        if merge and observation is not None:
-            tracer.adopt(observation["spans"],
-                         **_adoption_attrs(i, observation.get("pid")))
-            registry.merge(observation["metrics"])
-            for entry in observation["cache_stats"]:
-                obs.register_cache_snapshot(entry)
+                              bundle=bundles[name], **params)
+            for name in names]
+    with closing(_sweep_results(co_optimize_circuit, jobs,
+                                max_workers=max_workers)) as results:
+        for j, row in enumerate(results):
+            rows[missing[j]] = row
+            if store is not None:
+                store.save_result(fps[row.name], key, _encode_row(row))
     return rows
 
 
-def _encode_row(row: SweepRow) -> Dict[str, Any]:
-    """One :class:`SweepRow` as a JSON-able dict (bits as a list)."""
-    from dataclasses import asdict
+def _row_key(profile: OperatingProfile, **params: Any) -> str:
+    """Scenario key of one co-optimization row.
 
-    payload = asdict(row)
+    Holds the exact profile fields, never ``profile.ras_label()``: that
+    label is lossy (RAS 1:200 and 1:300 both render ``0.00:1.00``).
+    """
+    from repro.artifacts import scenario_key
+
+    return scenario_key({"command": "co-optimization",
+                         "active_fraction": profile.active_fraction,
+                         "t_active": profile.t_active,
+                         "t_standby": profile.t_standby,
+                         "period": profile.period, **params})
+
+
+#: The number fields of a stored row: every :class:`SweepRow` field but
+#: ``name`` (the circuit fingerprint ignores display names, so the name
+#: comes from the invocation) and ``chosen_bits``.
+_ROW_FLOATS = ("fresh_delay", "min_degradation", "mlv_diff",
+               "worst_degradation", "leakage_reduction", "chosen_leakage",
+               "expected_leakage")
+_ROW_INTS = ("set_size", "evaluated")
+
+
+def _encode_row(row: SweepRow) -> Dict[str, Any]:
+    """A row's result-record payload (JSON round-trips floats exactly)."""
+    payload = {name: getattr(row, name) for name in _ROW_FLOATS + _ROW_INTS}
     payload["chosen_bits"] = list(row.chosen_bits)
     return payload
 
 
-def _decode_row(payload: Dict[str, Any]) -> SweepRow:
-    """Inverse of :func:`_encode_row`; floats round-trip exactly."""
-    data = dict(payload)
-    data["chosen_bits"] = tuple(data["chosen_bits"])
-    return SweepRow(**data)
-
-
-def co_optimization_sweep_key(circuits: Sequence[str],
-                              profile: OperatingProfile,
-                              lifetime: float, *, n_vectors: int,
-                              max_set_size: int, range_fraction: float,
-                              seed: int, n_shards: int) -> str:
-    """Content key of one sharded co-optimization sweep's parameters.
-
-    Any parameter change (including the shard count, which fixes the
-    job partition) yields a fresh key and hence a fresh checkpoint
-    directory — stale shards are never *wrong*, only unreferenced.
-    """
-    from repro.artifacts.fingerprint import scenario_key
-
-    return scenario_key({
-        "command": "co-optimization-sweep",
-        "circuits": list(circuits),
-        "ras": profile.ras_label(),
-        "t_active": profile.t_active,
-        "t_standby": profile.t_standby,
-        "lifetime": lifetime,
-        "n_vectors": n_vectors,
-        "max_set_size": max_set_size,
-        "range_fraction": range_fraction,
-        "seed": seed,
-        "n_shards": n_shards,
-    })
-
-
-def run_sharded_co_optimization_sweep(
-        circuits: Sequence[str], profile: OperatingProfile,
-        lifetime: float = TEN_YEARS, *, store: Any, n_shards: int,
-        resume: bool = False, max_shards_per_run: Optional[int] = None,
-        n_vectors: int = 64, max_set_size: int = 8,
-        range_fraction: float = 0.04, seed: int = 0,
-        max_workers: Optional[int] = None,
-        ship_bundles: bool = True) -> ShardedSweepResult:
-    """:func:`run_co_optimization_sweep` with shard checkpoints.
-
-    A complete (possibly resumed) run's ``rows`` are field-for-field
-    identical to the flat sweep's; bundles are lowered only for the
-    circuits of the shards that actually run in this invocation.
-    """
-    from dataclasses import replace
-
-    jobs = [CoOptimizationJob(circuit=name, profile=profile,
-                              lifetime=lifetime, n_vectors=n_vectors,
-                              max_set_size=max_set_size,
-                              range_fraction=range_fraction, seed=seed)
-            for name in circuits]
-    sweep_key = co_optimization_sweep_key(
-        circuits, profile, lifetime, n_vectors=n_vectors,
-        max_set_size=max_set_size, range_fraction=range_fraction,
-        seed=seed, n_shards=n_shards)
-    built: Dict[str, Any] = {}
-
-    def prepare(shard_input: List[CoOptimizationJob]
-                ) -> List[CoOptimizationJob]:
-        if not ship_bundles:
-            return shard_input
-        for job in shard_input:
-            if job.circuit not in built:
-                built[job.circuit] = _bundle_for(job.circuit, store)
-        return [replace(job, bundle=built[job.circuit])
-                for job in shard_input]
-
-    return run_sharded_sweep(
-        co_optimize_circuit, jobs, store=store, sweep_key=sweep_key,
-        n_shards=n_shards, resume=resume,
-        max_shards_per_run=max_shards_per_run, max_workers=max_workers,
-        encode=_encode_row, decode=_decode_row, prepare=prepare)
+def _decode_row(name: str, payload: Optional[Dict[str, Any]]
+                ) -> Optional[SweepRow]:
+    """The row a stored payload holds, named ``name``; ``None`` when
+    there is none or it lacks a field or holds one of the wrong type."""
+    if payload is None:
+        return None
+    bits = payload.get("chosen_bits")
+    if not (all(type(payload.get(f)) in (int, float) for f in _ROW_FLOATS)
+            and all(type(payload.get(f)) is int for f in _ROW_INTS)
+            and type(bits) is list and all(type(b) is int for b in bits)):
+        return None
+    return SweepRow(name=name, chosen_bits=tuple(bits),
+                    **{f: payload[f] for f in _ROW_FLOATS + _ROW_INTS})
 
 
 # -- Table 4: internal-node-control potential per circuit --------------------
@@ -660,20 +467,19 @@ def run_potential_sweep(circuits: Sequence[str],
                         ras: str = "1:9",
                         t_total: float = TEN_YEARS, *,
                         max_workers: Optional[int] = None,
-                        ship_bundles: bool = True,
                         store: Any = None) -> Dict[str, list]:
     """Table 4 sweeps for many circuits, one worker per circuit.
 
     Returns ``{circuit name: [InternalNodePotential, ...]}`` preserving
-    input order (dict insertion order).  ``ship_bundles``/``store`` as
-    on :func:`run_co_optimization_sweep`.
+    input order (dict insertion order).  Bundles are shipped and
+    ``store`` persists them as on :func:`run_co_optimization_sweep`.
     """
-    bundles = (_bundles_for(circuits, store) if ship_bundles
-               else [None] * len(circuits))
+    bundles = {name: _bundle_for(load_circuit(name), store)
+               for name in dict.fromkeys(circuits)}
     jobs = [PotentialSweepJob(circuit=name,
                               t_standby_values=tuple(t_standby_values),
-                              ras=ras, t_total=t_total, bundle=bundle)
-            for name, bundle in zip(circuits, bundles)]
+                              ras=ras, t_total=t_total, bundle=bundles[name])
+            for name in circuits]
     results = run_sweep(potential_sweep_circuit, jobs,
                         max_workers=max_workers)
     return dict(zip(circuits, results))

@@ -152,8 +152,8 @@ class Gauge:
     retry backlog) rather than accumulations.  The merge rule is
     last-write-wins per label — exact like the counter/histogram
     merges, and deterministic because every merge path in the stack
-    (pooled sweeps, sharded assembly, the serve scheduler's
-    sequence-ordered adoption) folds payloads in job order.
+    (pooled sweeps, the serve scheduler's sequence-ordered adoption)
+    folds payloads in job order.
     """
 
     __slots__ = ("name", "values")

@@ -150,20 +150,20 @@ def resolve_report(source: str, store: Any = None
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     elif store is not None:
-        record = store.load_run(source)
-        if record is None:
-            matches = [run_id for run_id in store.list_runs()
-                       if run_id.startswith(source)]
-            if len(matches) > 1:
-                raise ValueError(
-                    f"run id prefix {source!r} is ambiguous: "
-                    + ", ".join(matches))
-            if matches:
-                record = store.load_run(matches[0])
-                label = matches[0]
-        if record is None:
+        run_ids = store.list_runs()
+        matches = ([source] if source in run_ids else
+                   [run_id for run_id in run_ids if run_id.startswith(source)])
+        if len(matches) > 1:
+            raise ValueError(
+                f"run id prefix {source!r} is ambiguous: "
+                + ", ".join(matches))
+        if not matches:
             raise ValueError(f"no stored run matches {source!r}")
-        doc = record
+        label = matches[0]
+        doc = store.load_run(label)
+        if doc is None:
+            raise ValueError(f"stored run {label} is damaged: its record "
+                             f"is not a readable JSON object")
     else:
         raise ValueError(
             f"{source!r} is not a file (pass --store to resolve run ids)")
@@ -200,7 +200,9 @@ def summarize_record(record: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def load_history(store: Any) -> List[Dict[str, Any]]:
-    """Every stored run record, oldest first (ids are time-sortable)."""
+    """Every readable stored run record, oldest first (ids are
+    time-sortable); a damaged record is skipped, counted as
+    ``store.run_corrupt``."""
     out = []
     for run_id in store.list_runs():
         record = store.load_run(run_id)

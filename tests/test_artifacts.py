@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import unittest
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,10 @@ from repro.core.aging import NbtiModel
 from repro.core.profiles import OperatingProfile
 from repro.flow.parallel import (
     CoOptimizationJob,
+    PotentialSweepJob,
     co_optimize_circuit,
     load_circuit,
+    potential_sweep_circuit,
     run_co_optimization_sweep,
     run_potential_sweep,
 )
@@ -331,37 +334,67 @@ class TestArtifactStore(unittest.TestCase):
         self.assertFalse(store.has_bundle(bundle.bundle_key))
         self.assertIsNone(store.load_bundle(bundle.bundle_key))
 
+    def test_damaged_run_and_job_records_read_as_absent(self):
+        store = ArtifactStore(self.root)
+        store.save_run("run1", {"x": 1})
+        store.save_job("job1", {"x": 1})
+        for path in (store._run_path("run1"), store._job_path("job1")):
+            path.write_bytes(path.read_bytes()[:3])
+        registry = obs.MetricsRegistry()
+        with obs.use_tracer(obs.Tracer()), obs.use_metrics(registry):
+            self.assertIsNone(store.load_run("run1"))
+            self.assertIsNone(store.load_job("job1"))
+        snapshot = registry.snapshot()
+        self.assertEqual(_counter_total(snapshot, "store.run_corrupt"), 1)
+        self.assertEqual(store.stats.misses("run"), 1)
+        self.assertEqual(store.list_runs(), ["run1"])
+
+    def test_damaged_bundle_is_a_counted_miss_and_rebuilt(self):
+        ctx = AnalysisContext(load_circuit("c17"))
+        bundle = ArtifactBundle.snapshot(ctx)
+        key = bundle.bundle_key
+        for part in ("manifest", "arrays", "schema"):
+            with self.subTest(part=part):
+                store = ArtifactStore(self.root / part)
+                store.save_bundle(bundle)
+                manifest = store._manifest_path(key)
+                if part == "schema":
+                    manifest.write_text('{"schema_version": -1}')
+                else:
+                    path = (manifest if part == "manifest"
+                            else store._arrays_path(key))
+                    path.write_bytes(path.read_bytes()[:100])
+                registry = obs.MetricsRegistry()
+                with obs.use_tracer(obs.Tracer()), \
+                        obs.use_metrics(registry):
+                    self.assertIsNone(store.load_bundle(key))
+                self.assertEqual(_counter_total(registry.snapshot(),
+                                                "store.bundle_corrupt"), 1)
+                self.assertEqual(store.stats.misses("bundle"), 1)
+                self.assertFalse(store.has_bundle(key))
+                store.save_bundle(bundle)
+                self.assertEqual(store.load_bundle(key), bundle)
+
     def test_info_and_clear(self):
         store = ArtifactStore(self.root)
         ctx = AnalysisContext(load_circuit("c17"), store=store)
         ctx.save_to_store()
         store.save_result("fp", "key", {"x": 1})
-        store.save_shard("sweepkey", 0, {"schema": 1})
+        # A shard checkpoint left by a store written before sweep rows
+        # became result records: clear() still removes it.
+        legacy = self.root / "sweeps" / "sweepkey" / "shard-0000.json"
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text('{"schema": 1}')
         info = store.info()
         self.assertEqual(info["bundles"], 1)
         self.assertEqual(info["results"], 1)
-        self.assertEqual(info["shards"], 1)
+        self.assertNotIn("shards", info)
         self.assertGreater(info["bytes"], 0)
         removed = store.clear()
-        self.assertGreaterEqual(removed, 4)  # npz + manifest + result...
+        self.assertGreaterEqual(removed, 5)  # npz + manifest + result...
         self.assertEqual(store.info()["bundles"], 0)
         self.assertEqual(store.info()["results"], 0)
-        self.assertEqual(store.info()["shards"], 0)
-
-    def test_shard_checkpoints_round_trip(self):
-        store = ArtifactStore(self.root)
-        self.assertIsNone(store.load_shard("swp", 0))
-        self.assertEqual(store.list_shards("swp"), [])
-        store.save_shard("swp", 2, {"results": [0.1234567890123457]})
-        store.save_shard("swp", 0, {"results": []})
-        self.assertEqual(store.list_shards("swp"), [0, 2])
-        self.assertEqual(store.load_shard("swp", 2),
-                         {"results": [0.1234567890123457]})
-        self.assertEqual(store.stats.hits("shard"), 1)
-        self.assertEqual(store.stats.misses("shard"), 1)
-        self.assertEqual(store.clear_sweep("swp"), 2)
-        self.assertEqual(store.list_shards("swp"), [])
-        self.assertEqual(store.clear_sweep("swp"), 0)
+        self.assertFalse(legacy.exists())
 
     def test_concurrent_same_key_bundle_writers(self):
         # Satellite requirement: the store stays consistent when many
@@ -418,12 +451,13 @@ class TestBundledSweeps(unittest.TestCase):
     CIRCUITS = ["c17", "c17"]
 
     def test_bundled_equals_rebuilt_co_optimization(self):
-        kw = dict(n_vectors=8, max_set_size=3, seed=1, max_workers=1)
-        shipped = run_co_optimization_sweep(self.CIRCUITS, PROFILE,
-                                            TEN_YEARS, **kw)
-        rebuilt = run_co_optimization_sweep(self.CIRCUITS, PROFILE,
-                                            TEN_YEARS, ship_bundles=False,
-                                            **kw)
+        job = CoOptimizationJob(circuit="c17", profile=PROFILE,
+                                lifetime=TEN_YEARS, n_vectors=8,
+                                max_set_size=3, seed=1)
+        bundle = ArtifactBundle.snapshot(
+            AnalysisContext(load_circuit("c17")))
+        shipped = co_optimize_circuit(replace(job, bundle=bundle))
+        rebuilt = co_optimize_circuit(job)
         self.assertEqual(shipped, rebuilt)
 
     def test_pooled_bundled_equals_serial_bundled(self):
@@ -445,11 +479,16 @@ class TestBundledSweeps(unittest.TestCase):
         self.assertEqual(direct, row)
 
     def test_bundled_equals_rebuilt_potential_sweep(self):
-        temps = (330.0, 400.0)
-        shipped = run_potential_sweep(["c17"], temps, max_workers=1)
-        rebuilt = run_potential_sweep(["c17"], temps, max_workers=1,
-                                      ship_bundles=False)
+        job = PotentialSweepJob(circuit="c17",
+                                t_standby_values=(330.0, 400.0))
+        bundle = ArtifactBundle.snapshot(
+            AnalysisContext(load_circuit("c17")))
+        shipped = potential_sweep_circuit(replace(job, bundle=bundle))
+        rebuilt = potential_sweep_circuit(job)
         self.assertEqual(shipped, rebuilt)
+        self.assertEqual(run_potential_sweep(["c17"], (330.0, 400.0),
+                                             max_workers=1)["c17"],
+                         shipped)
 
     def test_sweep_with_store_round_trip(self):
         import tempfile
@@ -461,10 +500,14 @@ class TestBundledSweeps(unittest.TestCase):
             cold = run_co_optimization_sweep(["c17"], PROFILE, TEN_YEARS,
                                              store=s1, **kw)
             self.assertEqual(s1.stats.misses("bundle"), 1)
+            self.assertEqual(s1.stats.misses("result"), 1)
             s2 = ArtifactStore(d)
             warm = run_co_optimization_sweep(["c17"], PROFILE, TEN_YEARS,
                                              store=s2, **kw)
-            self.assertEqual(s2.stats.hits("bundle"), 1)
+            # The warm row is answered from its result record alone.
+            self.assertEqual(s2.stats.hits("result"), 1)
+            self.assertEqual(s2.stats.misses("result"), 0)
+            self.assertEqual(s2.stats.hits("bundle"), 0)
             self.assertEqual(s2.stats.misses("bundle"), 0)
         self.assertEqual(cold, plain)
         self.assertEqual(warm, plain)

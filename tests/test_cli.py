@@ -81,6 +81,19 @@ class TestBadInput:
         assert str(exc.value.code).startswith("error: ")
         assert message in str(exc.value.code)
 
+    @pytest.mark.parametrize("argv, message", [
+        (["mlv", "c17", "--vectors", "1"], "--vectors"),
+        (["mlv", "c17", "--set-size", "0"], "--set-size"),
+        (["sweep", "c17", "--vectors", "1", "--store", "s"], "--vectors"),
+        (["sweep", "c17", "--set-size", "0", "--store", "s"], "--set-size"),
+    ], ids=["mlv-vectors", "mlv-set-size", "sweep-vectors",
+            "sweep-set-size"])
+    def test_unusable_search(self, tmp_path, argv, message):
+        proc = _run_cli(*argv, cwd=tmp_path)
+        self.assert_one_line_error(proc)
+        assert message in proc.stderr
+        assert not (tmp_path / "s").exists()  # nothing lowered or stored
+
     def test_bench_without_output(self, tmp_path):
         (tmp_path / "empty.bench").write_text("")
         proc = _run_cli("age", "empty.bench", cwd=tmp_path)
@@ -323,38 +336,136 @@ class TestAgeStoreCli:
         assert "result hits=1 misses=0" in captured.err
 
 
-class TestShardedSweepCli:
-    ARGS = ["--vectors", "8", "--set-size", "2", "--workers", "1"]
-
-    def test_interrupted_then_resumed_is_byte_identical(self, tmp_path,
-                                                        capsys):
-        base = ["sweep", "c17", "c17", "c17"] + self.ARGS
-        s1, s2 = str(tmp_path / "s1"), str(tmp_path / "s2")
-        # Uninterrupted sharded run: the reference stdout.
-        assert main(base + ["--store", s1, "--shards", "2"]) == 0
+    @pytest.mark.parametrize("part", ["manifest", "npz"])
+    def test_damaged_bundle_is_rebuilt(self, tmp_path, capsys, part):
+        store = tmp_path / "store"
+        assert main(["age", "c432", "--store", str(store)]) == 0
+        capsys.readouterr()
+        [manifest] = store.glob("bundles/*/*.json")
+        target = manifest.with_suffix(".npz") if part == "npz" else manifest
+        good = target.read_bytes()
+        target.write_bytes(good[:len(good) // 2])
+        # A new scenario misses the result and reads the damaged bundle.
+        argv = ["age", "c432", "--ras", "1:5"]
+        assert main(argv) == 0
         reference = capsys.readouterr().out
-        # Interrupted run: one shard, checkpoint, exit without a table.
-        assert main(base + ["--store", s2, "--shards", "2",
-                            "--max-shards", "1"]) == 0
-        partial = capsys.readouterr()
-        assert partial.out == ""
-        assert "re-run with --resume" in partial.err
-        # Resume: the completed table is byte-identical.
-        assert main(base + ["--store", s2, "--shards", "2",
-                            "--resume"]) == 0
-        assert capsys.readouterr().out == reference
+        out, doc = self._age(capsys, argv + ["--store", str(store)],
+                             tmp_path / "damaged.json")
+        assert out == reference
+        assert self._counter(doc, "store.bundle_corrupt") == 1
+        assert self._store_scope(doc) == {
+            "bundle": {"hits": 0, "misses": 1},
+            "result": {"hits": 0, "misses": 1}}
+        # The recompute rewrote the bundle: the next miss hydrates it.
+        _, doc = self._age(capsys, ["age", "c432", "--ras", "1:3",
+                                    "--store", str(store)],
+                           tmp_path / "next.json")
+        assert self._store_scope(doc)["bundle"] == {"hits": 1, "misses": 0}
+        assert self._lowerings(doc) == 0
 
-    def test_sharded_matches_flat_sweep(self, tmp_path, capsys):
-        base = ["sweep", "c17", "c17"] + self.ARGS
-        assert main(base) == 0
-        flat = capsys.readouterr().out
-        assert main(base + ["--store", str(tmp_path / "s"),
-                            "--shards", "2"]) == 0
-        assert capsys.readouterr().out == flat
 
-    def test_shards_require_store(self, capsys):
-        assert main(["sweep", "c17", "--shards", "2"] + self.ARGS) == 2
-        assert "--shards requires --store" in capsys.readouterr().err
+class TestDamagedRunRecord:
+    def test_history_skips_it_and_diff_names_it(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        for _ in range(2):
+            assert main(["age", "c17", "--store", store]) == 0
+        capsys.readouterr()
+        damaged, good = sorted((tmp_path / "store").glob("runs/*.json"))
+        damaged.write_bytes(damaged.read_bytes()[:40])
+        assert main(["report", "history", "--store", store, "--ids"]) == 0
+        assert capsys.readouterr().out.split() == [good.stem]
+        for argv in (["diff", damaged.stem, good.stem],
+                     ["timeline", damaged.stem]):
+            assert main(["report", *argv, "--store", store]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "damaged" in err
+            assert damaged.stem in err
+
+
+class TestSweepStoreCli:
+    """``sweep --store``: each row is a result record, so a re-run on
+    the same store is the resume and prints the uninterrupted table."""
+
+    ARGS = ["--vectors", "8", "--set-size", "2"]
+
+    @staticmethod
+    def _sweep(capsys, argv):
+        assert main(["sweep", *argv]) == 0
+        return capsys.readouterr()
+
+    def test_warm_run_reads_only_row_records(self, tmp_path, capsys):
+        argv = ["c17", "c432"] + self.ARGS
+        plain = self._sweep(capsys, argv).out
+        store = ["--store", str(tmp_path / "store")]
+        cold = self._sweep(capsys, argv + store)
+        assert cold.out == plain
+        assert "bundle hits=0 misses=2, result hits=0 misses=2" in cold.err
+        report = tmp_path / "warm.json"
+        warm = self._sweep(capsys, argv + store + ["--metrics", str(report)])
+        assert warm.out == plain
+        assert "bundle hits=0 misses=0, result hits=2 misses=0" in warm.err
+        doc = json.loads(report.read_text())
+        for name in ("sta.compiled.lowerings", "artifacts.hydrations"):
+            assert TestAgeStoreCli._counter(doc, name) == 0, name
+        [scope] = [e for e in doc["cache_stats"]
+                   if e["scope"].startswith("store:")]
+        assert scope["artifacts"] == {"result": {"hits": 2, "misses": 0}}
+        names = {s["name"] for root in doc["spans"]
+                 for s in _walk_spans(root)}
+        assert "flow.run_sweep" not in names
+
+    def test_partial_then_full_is_byte_identical(self, tmp_path, capsys):
+        store = ["--store", str(tmp_path / "store")]
+        reference = self._sweep(capsys, ["c17", "c432"] + self.ARGS).out
+        partial = self._sweep(capsys, ["c17"] + self.ARGS + store)
+        assert "result hits=0 misses=1" in partial.err
+        full = self._sweep(capsys, ["c17", "c432"] + self.ARGS + store)
+        assert "result hits=1 misses=1" in full.err
+        assert full.out == reference
+
+    def test_ras_labels_do_not_alias(self, tmp_path, capsys):
+        # RAS 1:200 and 1:300 print the same lossy label, 0.00:1.00;
+        # their rows are still distinct records.
+        store = ["--store", str(tmp_path / "store")]
+        reference = self._sweep(capsys, ["c17", "--ras", "1:300"]
+                                + self.ARGS).out
+        self._sweep(capsys, ["c17", "--ras", "1:200"] + self.ARGS + store)
+        again = self._sweep(capsys, ["c17", "--ras", "1:300"]
+                            + self.ARGS + store)
+        assert "result hits=0 misses=1" in again.err
+        assert again.out == reference
+        assert len(list((tmp_path / "store").glob("results/*/*.json"))) == 2
+
+    def test_same_content_paths_print_their_own_names(self, tmp_path,
+                                                      capsys):
+        from repro.netlist import save_bench
+
+        a, b = tmp_path / "a.bench", tmp_path / "b.bench"
+        for path in (a, b):
+            save_bench(resolve_circuit("c17"), path)
+        store = ["--store", str(tmp_path / "store")]
+        self._sweep(capsys, [str(a)] + self.ARGS + store)
+        reference = self._sweep(capsys, [str(b)] + self.ARGS).out
+        warm = self._sweep(capsys, [str(b)] + self.ARGS + store)
+        assert "result hits=1 misses=0" in warm.err
+        assert warm.out == reference
+        assert str(b) in warm.out and str(a) not in warm.out
+
+    @pytest.mark.parametrize("flag", [["--shards", "2"], ["--resume"],
+                                      ["--max-shards", "1"]],
+                             ids=["shards", "resume", "max-shards"])
+    def test_shard_flags_are_rejected(self, tmp_path, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "c17", "--store", str(tmp_path / "s")]
+                 + self.ARGS + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _walk_spans(span):
+    yield span
+    for child in span.get("children", []):
+        yield from _walk_spans(child)
 
 
 class TestOneLoweringPerCommand:

@@ -6,15 +6,20 @@ degrade to the serial loop, and worker *logic* errors propagate.
 """
 
 import concurrent.futures
+import json
 import os
+from pathlib import Path
 
 import pytest
 
 from repro import obs
+from repro.artifacts import ArtifactStore
 from repro.constants import TEN_YEARS
 from repro.core import OperatingProfile
 from repro.flow.parallel import (
     CoOptimizationJob,
+    _decode_row,
+    _encode_row,
     co_optimize_circuit,
     load_circuit,
     run_co_optimization_sweep,
@@ -117,6 +122,100 @@ class TestCoOptimizationSweep:
         assert 0.0 <= row.min_degradation <= row.worst_degradation + 1e-12
         assert row.chosen_leakage <= row.expected_leakage
         assert len(row.chosen_bits) == len(load_circuit("c17").primary_inputs)
+
+
+# Three small netlists of distinct content, so each sweep row has its
+# own result record.
+_TINY_BENCH = {
+    "tiny_a": "n1 = NAND(a, b)\ny = NOR(n1, c)\n",
+    "tiny_b": "n1 = NOR(a, b)\ny = NAND(n1, c)\n",
+    "poisoned": "n1 = AND(a, b)\ny = OR(n1, c)\n",
+}
+
+
+def _raise_on_poisoned(job):
+    """A co-optimization worker that fails on the ``poisoned`` circuit."""
+    if Path(job.circuit).stem == "poisoned":
+        raise RuntimeError("worker failed at job k")
+    return co_optimize_circuit(job)
+
+
+class TestSweepRowRecords:
+    """With a store, each co-optimization row is a result record: a
+    stored row is answered from it, and a re-run computes only the
+    missing rows."""
+
+    KW = dict(n_vectors=8, max_set_size=2, seed=1)
+
+    @pytest.fixture()
+    def circuits(self, tmp_path):
+        names = []
+        for stem, body in _TINY_BENCH.items():
+            path = tmp_path / f"{stem}.bench"
+            path.write_text("INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\n"
+                            + body)
+            names.append(str(path))
+        # Job 2 fails: rows 0 and 1 must be stored, rows 2 and 3 not.
+        return ["c17", names[0], names[2], names[1]]
+
+    @staticmethod
+    def _records(store):
+        return sorted(store.root.glob("results/*/*.json"))
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pooled"])
+    def test_stopped_sweep_keeps_rows_before_the_failure(
+            self, tmp_path, circuits, monkeypatch, workers):
+        plain = run_co_optimization_sweep(circuits, PROFILE, TEN_YEARS,
+                                          max_workers=1, **self.KW)
+        store = ArtifactStore(tmp_path / "store")
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.flow.parallel.co_optimize_circuit",
+                          _raise_on_poisoned)
+            with pytest.raises(RuntimeError, match="job k"):
+                run_co_optimization_sweep(circuits, PROFILE, TEN_YEARS,
+                                          max_workers=workers, store=store,
+                                          **self.KW)
+        fingerprints = {p.parent.name for p in self._records(store)}
+        assert fingerprints == {load_circuit(name).content_fingerprint()
+                                for name in circuits[:2]}
+        assert len(self._records(store)) == 2
+        store = ArtifactStore(tmp_path / "store")
+        resumed = run_co_optimization_sweep(circuits, PROFILE, TEN_YEARS,
+                                            max_workers=workers,
+                                            store=store, **self.KW)
+        assert resumed == plain
+        assert store.stats.hits("result") == 2
+        assert store.stats.misses("result") == 2
+        assert len(self._records(store)) == 4
+
+    @pytest.mark.parametrize("damage", ["empty", "truncated",
+                                        "empty-object", "wrong-type"])
+    def test_damaged_row_record_is_recomputed(self, tmp_path, damage):
+        kw = dict(max_workers=1, **self.KW)
+        store = ArtifactStore(tmp_path / "store")
+        cold = run_co_optimization_sweep(["c17"], PROFILE, TEN_YEARS,
+                                         store=store, **kw)
+        [record] = self._records(store)
+        good = record.read_bytes()
+        wrong_type = dict(json.loads(good), evaluated="7")
+        record.write_bytes({"empty": b"",
+                            "truncated": good[:len(good) // 2],
+                            "empty-object": b"{}",
+                            "wrong-type": json.dumps(wrong_type).encode(),
+                            }[damage])
+        again = run_co_optimization_sweep(["c17"], PROFILE, TEN_YEARS,
+                                          store=ArtifactStore(store.root),
+                                          **kw)
+        assert again == cold
+        assert record.read_bytes() == good
+
+    def test_row_codec_round_trips_exactly(self):
+        [row] = run_co_optimization_sweep(("c17",), PROFILE, TEN_YEARS,
+                                          max_workers=1, **self.KW)
+        wire = json.loads(json.dumps(_encode_row(row)))
+        assert "name" not in wire
+        assert _decode_row("c17", wire) == row
+        assert _decode_row("other.bench", wire).name == "other.bench"
 
 
 class TestPotentialSweep:

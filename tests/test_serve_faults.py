@@ -148,6 +148,35 @@ class TestWorkerSigkill:
             service.stop(drain=False)
 
 
+class TestDamagedBundle:
+    @pytest.mark.parametrize("part", ["manifest", "npz"])
+    def test_served_job_rebuilds_a_damaged_bundle(self, tmp_path, capsys,
+                                                  part):
+        from repro.cli import main
+
+        store_dir = str(tmp_path / "store")
+        assert main(["cache", "warm", "c17", "--store", store_dir]) == 0
+        [manifest] = (tmp_path / "store").glob("bundles/*/*.json")
+        target = manifest.with_suffix(".npz") if part == "npz" else manifest
+        good = target.read_bytes()
+        target.write_bytes(good[:len(good) // 2])
+        service = _service(tmp_path, max_retries=0)
+        try:
+            record = service.submit("c17", AgeScenario())
+            assert _wait(lambda: service.queue.get(
+                record.job_id).state in (DONE, FAILED))
+            assert service.queue.get(record.job_id).state == DONE
+        finally:
+            service.stop(drain=False)
+        assert ArtifactStore(store_dir).load_bundle(manifest.stem)
+        capsys.readouterr()
+        # The stored (served) numbers print like a store-free run.
+        assert main(["age", "c17", "--store", store_dir]) == 0
+        served = capsys.readouterr().out
+        assert main(["age", "c17"]) == 0
+        assert served == capsys.readouterr().out
+
+
 class TestRestartRecovery:
     def _seed_record(self, store, circuit_fp, scenario, state,
                      attempts=0):
