@@ -10,7 +10,11 @@ Three layers, bottom-up:
   artifacts that hydrates into a warm context without recompiling.
 - :mod:`repro.artifacts.store` — :class:`ArtifactStore`, an on-disk
   content-hash-keyed bundle directory plus a (circuit, scenario)
-  result cache.
+  result cache and the source records that map netlist file bytes to
+  circuit fingerprints.
+- :mod:`repro.artifacts.sources` — :func:`resolve_source`, the one
+  resolver from a circuit name to its fingerprint, parse-free on a
+  source-record hit.
 """
 
 from repro.artifacts.bundle import BUNDLE_VERSION, ArtifactBundle
@@ -21,7 +25,9 @@ from repro.artifacts.fingerprint import (
     library_fingerprint,
     model_fingerprint,
     scenario_key,
+    source_key,
 )
+from repro.artifacts.sources import ResolvedCircuit, resolve_source
 from repro.artifacts.store import STORE_VERSION, ArtifactStore
 
 __all__ = [
@@ -30,9 +36,12 @@ __all__ = [
     "STORE_VERSION",
     "ArtifactBundle",
     "ArtifactStore",
+    "ResolvedCircuit",
     "bundle_key",
     "circuit_fingerprint",
     "library_fingerprint",
     "model_fingerprint",
+    "resolve_source",
     "scenario_key",
+    "source_key",
 ]

@@ -24,7 +24,8 @@ Canonicalization rules per object:
 temperature into the content address of an
 :class:`~repro.artifacts.bundle.ArtifactBundle`; ``scenario_key``
 canonicalizes an arbitrary scenario description (CLI arguments, sweep
-coordinates) for the result cache.
+coordinates) for the result cache; ``source_key`` addresses the record
+that maps a netlist file's bytes to its circuit fingerprint.
 """
 
 from __future__ import annotations
@@ -161,3 +162,15 @@ def bundle_key(circuit_fp: str, library_fp: str, model_fp: str,
 def scenario_key(scenario: Dict[str, Any]) -> str:
     """Canonical hash of a scenario description for the result cache."""
     return _hash("scenario", scenario)
+
+
+def source_key(file_sha256: str) -> str:
+    """Key of the source record of a netlist file's bytes.
+
+    Composes the sha256 of the bytes with the parser version (and, like
+    every key here, :data:`SCHEMA_VERSION`), so a new parser or a new
+    circuit-fingerprint scheme makes every stored source record a miss.
+    """
+    from repro.netlist.bench import PARSER_VERSION
+
+    return _digest("source", [file_sha256, PARSER_VERSION])

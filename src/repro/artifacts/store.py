@@ -7,6 +7,7 @@ Layout (all writes atomic: temp file in the target directory, then
     <root>/bundles/<k[:2]>/<key>.npz           # bundle arrays
     <root>/bundles/<k[:2]>/<key>.json          # bundle manifest
     <root>/results/<circuit_fp>/<scenario>.json  # age numbers, sweep rows
+    <root>/sources/<source_key>.json           # netlist bytes -> circuit_fp
     <root>/jobs/<job_id>.json                  # service job records
     <root>/runs/<run_id>.json                  # run-history records
 
@@ -18,11 +19,14 @@ additionally serialized by a per-key ``.lock`` file (O_CREAT|O_EXCL,
 with stale-lock breaking), so concurrent writers sharing one store
 never interleave an array/manifest pair.
 
-Every JSON record (result, job, run, bundle manifest) is read by one
-rule: an absent file is a miss, and a damaged one (empty, truncated,
-not UTF-8, not a JSON object) is a miss too, counted as
-``store.<kind>_corrupt`` where the kind has counters.  The caller
-recomputes and the atomic rewrite replaces the damaged record.
+Every JSON record (result, source, job, run, bundle manifest) is read
+by one rule: an absent file is a miss, and a damaged one (empty,
+truncated, not UTF-8, not a JSON object) is a miss too, counted as
+``store.<kind>_corrupt`` where the kind has counters.  A reader that
+knows its record's fields passes a decoder; a payload the decoder
+rejects (a missing or wrong-typed field) is a miss as well, counted as
+``store.<kind>_invalid``, and never a hit.  The caller recomputes and
+the atomic rewrite replaces the record.
 
 Invalidation is purely by content address: a structural change to the
 circuit, library, or model produces a different
@@ -44,7 +48,7 @@ import tempfile
 import time
 import zipfile
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +57,10 @@ from repro.artifacts.bundle import ArtifactBundle
 
 #: On-disk layout version (checked against ``store.json``).
 STORE_VERSION = 1
+
+#: A reader's check of one JSON record: the value the record holds, or
+#: ``None`` when a field is missing or of the wrong type.
+Decoder = Callable[[Dict[str, Any]], Any]
 
 #: A ``.lock`` older than this is presumed orphaned (a writer that died
 #: between acquiring and releasing) and is broken by the next writer.
@@ -117,6 +125,9 @@ class ArtifactStore:
 
     def _result_path(self, circuit_fp: str, scenario_key: str) -> Path:
         return self.root / "results" / circuit_fp / f"{scenario_key}.json"
+
+    def _source_path(self, key: str) -> Path:
+        return self.root / "sources" / f"{key}.json"
 
     def _ensure_marker(self) -> None:
         marker = self.root / "store.json"
@@ -219,7 +230,8 @@ class ArtifactStore:
         and the recompute's :meth:`save_bundle` rewrites it.
         """
         path = self._manifest_path(key)
-        manifest, corrupt = self._read_record(path)
+        manifest, fault = self._read_record(path)
+        corrupt = fault is not None
         bundle = None
         if manifest is not None:
             with obs.span("artifacts.store.load", key=key[:12]):
@@ -244,30 +256,40 @@ class ArtifactStore:
     # -- JSON records --------------------------------------------------------
 
     @staticmethod
-    def _read_record(path: Path) -> Tuple[Optional[Dict[str, Any]], bool]:
-        """``(payload, corrupt)``, uncounted: ``payload`` is ``None`` for
-        an absent or damaged (empty, truncated, non-object) record."""
+    def _read_record(path: Path, decode: Optional[Decoder] = None
+                     ) -> Tuple[Any, Optional[str]]:
+        """``(payload, fault)``, uncounted.
+
+        ``payload`` is the record (through ``decode`` when given), or
+        ``None``: for an absent record (``fault`` ``None``), a damaged
+        one (``"corrupt"``: empty, truncated, not UTF-8, not a JSON
+        object) and one ``decode`` rejects (``"invalid"``).
+        """
         try:
             payload = json.loads(path.read_bytes())
         except FileNotFoundError:
-            return None, False
+            return None, None
         except ValueError:  # empty, truncated, or not UTF-8
-            return None, True
+            return None, "corrupt"
         if not isinstance(payload, dict):
-            return None, True
-        return payload, False
+            return None, "corrupt"
+        if decode is not None:
+            payload = decode(payload)
+            if payload is None:
+                return None, "invalid"
+        return payload, None
 
-    def _load_record(self, kind: str, path: Path
-                     ) -> Optional[Dict[str, Any]]:
+    def _load_record(self, kind: str, path: Path,
+                     decode: Optional[Decoder] = None) -> Any:
         """One record's payload, or ``None`` (a counted ``kind`` miss).
 
-        A damaged record is a miss too, also counted as
-        ``store.<kind>_corrupt``: the caller recomputes, and the next
-        save replaces it atomically.
+        A damaged record, or one ``decode`` rejects, is a miss too, also
+        counted as ``store.<kind>_corrupt`` or ``store.<kind>_invalid``:
+        the caller recomputes, and the next save replaces it atomically.
         """
-        payload, corrupt = self._read_record(path)
-        if corrupt:
-            obs.count(f"store.{kind}_corrupt")
+        payload, fault = self._read_record(path, decode)
+        if fault is not None:
+            obs.count(f"store.{kind}_{fault}")
         if payload is None:
             self.stats.record_miss(kind)
             obs.count(f"store.{kind}_misses")
@@ -286,27 +308,46 @@ class ArtifactStore:
                            payload)
         obs.count("store.result_saves")
 
-    def has_result(self, circuit_fp: str, scenario_key: str) -> bool:
+    def has_result(self, circuit_fp: str, scenario_key: str,
+                   decode: Optional[Decoder] = None) -> bool:
         """Whether a readable cached result exists (no hit/miss accounting).
 
         The uncounted peek used for consistency checks (e.g. the serve
         queue's done-implies-result invariant) — cache *traffic* stays
-        measured by :meth:`load_result` alone.  A damaged record reads
-        as absent here too, so the service recomputes it.
+        measured by :meth:`load_result` alone.  A damaged record, or one
+        ``decode`` rejects, reads as absent here too, so the service
+        recomputes it.
         """
         path = self._result_path(circuit_fp, scenario_key)
-        return self._read_record(path)[0] is not None
+        return self._read_record(path, decode)[0] is not None
 
-    def load_result(self, circuit_fp: str, scenario_key: str
-                    ) -> Optional[Dict[str, Any]]:
-        """The cached payload, or ``None`` (counted miss).
+    def load_result(self, circuit_fp: str, scenario_key: str,
+                    decode: Optional[Decoder] = None) -> Any:
+        """The cached payload (through ``decode`` when given), or
+        ``None`` (counted miss).
 
         A damaged record — empty, truncated, or not a JSON object — is
-        a miss too, also counted as ``store.result_corrupt``: the caller
-        recomputes, and :meth:`save_result` replaces it atomically.
+        a miss too, also counted as ``store.result_corrupt``, and so is
+        a payload ``decode`` rejects (``store.result_invalid``): the
+        caller recomputes, and :meth:`save_result` replaces it
+        atomically.
         """
         return self._load_record(
-            "result", self._result_path(circuit_fp, scenario_key))
+            "result", self._result_path(circuit_fp, scenario_key), decode)
+
+    # -- source records ------------------------------------------------------
+
+    def save_source(self, key: str, payload: Dict[str, Any]) -> None:
+        """Persist one source record under its
+        :func:`~repro.artifacts.fingerprint.source_key`."""
+        self._ensure_marker()
+        _atomic_write_json(self._source_path(key), payload)
+        obs.count("store.source_saves")
+
+    def load_source(self, key: str, decode: Decoder) -> Any:
+        """The decoded source record of ``key``, or ``None`` (a counted
+        ``source`` miss; damaged and rejected records included)."""
+        return self._load_record("source", self._source_path(key), decode)
 
     # -- service job records --------------------------------------------------
 
@@ -370,11 +411,12 @@ class ArtifactStore:
         """Inventory summary: bundle/result counts and on-disk bytes."""
         bundles = sorted(p for p in self.root.glob("bundles/*/*.json"))
         results = sorted(self.root.glob("results/*/*.json"))
+        sources = sorted(self.root.glob("sources/*.json"))
         jobs = sorted(self.root.glob("jobs/*.json"))
         runs = sorted(self.root.glob("runs/*.json"))
         total = 0
-        for pattern in ("bundles/*/*", "results/*/*", "jobs/*", "runs/*",
-                        "store.json"):
+        for pattern in ("bundles/*/*", "results/*/*", "sources/*", "jobs/*",
+                        "runs/*", "store.json"):
             for path in self.root.glob(pattern):
                 if path.is_file():
                     total += path.stat().st_size
@@ -383,6 +425,7 @@ class ArtifactStore:
             "schema_version": STORE_VERSION,
             "bundles": len(bundles),
             "results": len(results),
+            "sources": len(sources),
             "jobs": len(jobs),
             "runs": len(runs),
             "bytes": total,
@@ -390,18 +433,19 @@ class ArtifactStore:
         }
 
     def clear(self) -> int:
-        """Delete every stored bundle and result; returns files removed.
+        """Delete every stored bundle and record; returns files removed.
 
         Only touches the store's own subtrees (``bundles/``,
-        ``results/``, ``jobs/``, ``runs/``, ``store.json``, and the
-        ``sweeps/`` shard checkpoints of stores written before sweep
-        rows became result records) — a mistyped ``--store`` pointing
-        at a source directory cannot lose anything else.
+        ``results/``, ``sources/``, ``jobs/``, ``runs/``, ``store.json``,
+        and the ``sweeps/`` shard checkpoints of stores written before
+        sweep rows became result records) — a mistyped ``--store``
+        pointing at a source directory cannot lose anything else.
         """
         import shutil
 
         removed = 0
-        for sub in ("bundles", "results", "sweeps", "jobs", "runs"):
+        for sub in ("bundles", "results", "sources", "sweeps", "jobs",
+                    "runs"):
             path = self.root / sub
             if path.is_dir():
                 removed += sum(1 for p in path.rglob("*") if p.is_file())

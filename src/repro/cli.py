@@ -40,6 +40,7 @@ import argparse
 import logging
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import List, Optional
 
@@ -52,23 +53,45 @@ from repro.core import (
     guard_band,
 )
 from repro.flow.report import format_table, mv, ns, pct, ua
-from repro.netlist import BenchParseError, load_circuit
+from repro.netlist import BenchParseError, NetlistSource, read_source
 from repro.netlist.circuit import Circuit, CircuitError
 
 
-def resolve_circuit(name: str) -> Circuit:
-    """Map a CLI circuit argument onto a loaded netlist
-    (:func:`repro.netlist.load_circuit`).
-
-    An unknown name or a malformed ``.bench`` file exits with a one-line
-    ``error:`` message instead of a traceback.
-    """
+@contextmanager
+def _circuit_errors(name: str):
+    """Turn a bad circuit argument into a one-line ``error:`` exit."""
     try:
-        return load_circuit(name)
+        yield
     except (BenchParseError, CircuitError) as exc:
         raise SystemExit(f"error: {name}: {exc}") from None
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from None
+
+
+def resolve_circuit(name: str,
+                    source: Optional[NetlistSource] = None) -> Circuit:
+    """Map a CLI circuit argument onto a loaded netlist
+    (:func:`repro.netlist.load_circuit`); with ``source``, the netlist
+    already read for ``name``, parse that instead of reading again.
+
+    An unknown name or a malformed ``.bench`` file exits with a one-line
+    ``error:`` message instead of a traceback.
+    """
+    with _circuit_errors(name):
+        if source is None:
+            source = read_source(name)
+        return source.parse()
+
+
+def _resolve(name: str, store):
+    """:func:`repro.artifacts.resolve_source` for a CLI argument: the
+    same ``error:`` lines as :func:`resolve_circuit`, which runs any
+    parse."""
+    from repro.artifacts import resolve_source
+
+    with _circuit_errors(name):
+        return resolve_source(
+            name, store, parse=lambda source: resolve_circuit(name, source))
 
 
 def _add_profile_args(parser: argparse.ArgumentParser) -> None:
@@ -228,63 +251,59 @@ def _aged_numbers(context, profile, args) -> dict:
     from repro.sta import ALL_ONE, ALL_ZERO
 
     standby = {"worst": ALL_ZERO, "best": ALL_ONE}[args.standby]
-    res = context.aged_delays(profile, years(args.years), standby=standby)
-    return {"fresh_delay": res.fresh_delay,
-            "aged_delay": res.aged_delay,
-            "degradation": res.relative_degradation,
-            "max_shift": res.max_shift}
-
-
-def _is_age_result(payload) -> bool:
-    """Whether a stored payload holds every number ``age`` prints."""
-    return payload is not None and all(
-        type(payload.get(name)) in (int, float)
-        for name in ("fresh_delay", "aged_delay", "degradation", "max_shift"))
+    return context.aged_delays(profile, years(args.years),
+                               standby=standby).numbers()
 
 
 def cmd_age(args) -> int:
     """``age``: temperature-aware aged timing of one circuit.
 
-    With ``--store`` the result record is looked up first, keyed by
-    ``(circuit_fingerprint, scenario_key)`` — the lookup ``repro
-    serve`` makes on submit.  A hit prints from that record alone: no
-    bundle is loaded, hydrated, lowered or written.  A miss (no
-    record, or a damaged one) builds the store-backed context, which
-    hydrates from the stored bundle when there is one, computes, saves
-    the result and persists the bundle if it is absent.  JSON
+    With ``--store`` the circuit is resolved through the store's source
+    record (:func:`repro.artifacts.resolve_source`) and its result
+    record is looked up first, keyed by ``(circuit_fingerprint,
+    scenario_key)`` — the lookup ``repro serve`` makes on submit.  A
+    hit on both prints from the two records alone: the netlist is read
+    and hashed but not parsed, and no bundle is loaded, hydrated,
+    lowered or written.  A result miss (no record, a damaged one, or
+    one without the four numbers) builds the store-backed context,
+    which hydrates from the stored bundle when there is one, computes,
+    saves the result and persists the bundle if it is absent.  JSON
     round-trips floats exactly, so a warm run's stdout is
     byte-identical to the cold run's.
     """
     from repro.context import AnalysisContext
-    circuit = resolve_circuit(args.circuit)
-    profile = _profile_from(args)
     store_dir = getattr(args, "store", None)
     if store_dir is None:
+        circuit = resolve_circuit(args.circuit)
+        profile = _profile_from(args)
         # Summary path: both STA passes stay on ndarrays, so generated
         # 10^5-gate circuits age in kernel time.  Same floats as the
         # full aged_timing() result (compiled == scalar, pinned).
         numbers = _aged_numbers(AnalysisContext(circuit), profile, args)
+        name = circuit.name
     else:
-        from repro.artifacts import (ArtifactStore, circuit_fingerprint,
-                                     scenario_key)
+        from repro.artifacts import ArtifactStore, scenario_key
+        from repro.sta import decode_age_numbers
 
         store = ArtifactStore(store_dir)
+        source = _resolve(args.circuit, store)
+        profile = _profile_from(args)
         key = scenario_key({"command": "age", "ras": args.ras,
                             "t_active": args.t_active,
                             "t_standby": args.t_standby,
                             "years": args.years,
                             "standby": args.standby})
-        circuit_fp = circuit_fingerprint(circuit)
-        numbers = store.load_result(circuit_fp, key)
-        if not _is_age_result(numbers):
-            context = AnalysisContext(circuit, store=store)
+        numbers = store.load_result(source.circuit_fp, key,
+                                    decode_age_numbers)
+        if numbers is None:
+            context = AnalysisContext(source.circuit(), store=store)
             numbers = _aged_numbers(context, profile, args)
-            store.save_result(circuit_fp, key, numbers)
+            store.save_result(source.circuit_fp, key, numbers)
             if not store.has_bundle(context.content_key()):
                 context.save_to_store()
         _store_note(store)
-    _print_age_report(circuit.name, profile, args.years, args.standby,
-                      numbers)
+        name = source.name
+    _print_age_report(name, profile, args.years, args.standby, numbers)
     return 0
 
 
@@ -407,17 +426,17 @@ def cmd_sweep(args) -> int:
     """
     from repro.flow.parallel import run_co_optimization_sweep
     profile = _search_profile_from(args)
-    for name in args.circuits:
-        resolve_circuit(name)  # fail fast on unknown names
     store = None
     if getattr(args, "store", None):
         from repro.artifacts import ArtifactStore
 
         store = ArtifactStore(args.store)
+    # Every name is resolved (and a bad one exits) before any row runs.
     rows = run_co_optimization_sweep(
         args.circuits, profile, years(args.years),
         n_vectors=args.vectors, max_set_size=args.set_size,
-        seed=args.seed, max_workers=args.workers, store=store)
+        seed=args.seed, max_workers=args.workers, store=store,
+        resolve=_resolve)
     if store is not None:
         _store_note(store)
     printable = [
@@ -447,6 +466,7 @@ def cmd_cache(args) -> int:
         print(f"schema version : {info['schema_version']}")
         print(f"bundles        : {info['bundles']}")
         print(f"results        : {info['results']}")
+        print(f"sources        : {info['sources']}")
         print(f"runs           : {info['runs']}")
         print(f"size           : {info['bytes']} bytes")
         for key in info["bundle_keys"]:
@@ -826,9 +846,21 @@ def _run_observed(args) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes only whole option names.
+
+    argparse's default prefix matching would silently read
+    ``--out 5`` as ``--outputs 5``; a subparser is built from its
+    parent's class, so every subcommand parser is one of these too.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse tree for all subcommands."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Temperature-aware NBTI analysis (Wang et al. "
                     "DATE'07/TDSC'11 reproduction)")

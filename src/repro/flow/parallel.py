@@ -44,6 +44,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -337,39 +338,47 @@ def run_co_optimization_sweep(circuits: Sequence[str],
                               range_fraction: float = 0.04,
                               seed: int = 0,
                               max_workers: Optional[int] = None,
-                              store: Any = None) -> List[SweepRow]:
+                              store: Any = None,
+                              resolve: Optional[Callable[[str, Any], Any]]
+                              = None) -> List[SweepRow]:
     """Co-optimize many circuits, one worker per circuit.
 
     Returns one :class:`SweepRow` per circuit, in input order;
-    ``max_workers=1`` runs the identical computation serially.  The
-    parent lowers each distinct circuit once and ships the compiled
-    artifacts to the workers.
+    ``max_workers=1`` runs the identical computation serially.  Every
+    distinct name is resolved first, with ``resolve(name, store)``
+    (default :func:`repro.artifacts.resolve_source`), so a bad name
+    raises before any row runs; each netlist file is read and parsed at
+    most once.  The parent lowers each distinct circuit once and ships
+    the compiled artifacts to the workers.
 
     With ``store`` (an :class:`~repro.artifacts.store.ArtifactStore`)
     each row is a result record keyed by ``(circuit_fingerprint,``
-    :func:`_row_key` ``)``.  A stored row is answered from its record
-    alone (no bundle load, no lowering, no worker) under the name given
-    here; a damaged or incomplete record is a miss.  Only the missing
-    rows run, and each is saved as soon as it and every row before it
-    are done: a sweep stopped at job ``k`` keeps rows ``0..k-1``, and a
-    re-run on the same store computes only the rest.  The store also
-    persists the shipped bundles.
+    :func:`_row_key` ``)``, the fingerprint coming from the source
+    record of a netlist file the store has seen.  A stored row is
+    answered from its record alone (no parse, no bundle load, no
+    lowering, no worker) under the name given here; a damaged or
+    incomplete record is a miss.  Only the missing rows run, and each
+    is saved as soon as it and every row before it are done: a sweep
+    stopped at job ``k`` keeps rows ``0..k-1``, and a re-run on the
+    same store computes only the rest.  The store also persists the
+    shipped bundles.
     """
+    if resolve is None:
+        from repro.artifacts import resolve_source as resolve
     params = dict(lifetime=lifetime, n_vectors=n_vectors,
                   max_set_size=max_set_size, range_fraction=range_fraction,
                   seed=seed)
-    loaded = {name: load_circuit(name) for name in dict.fromkeys(circuits)}
+    sources = {name: resolve(name, store)
+               for name in dict.fromkeys(circuits)}
     rows: List[Optional[SweepRow]] = [None] * len(circuits)
     if store is not None:
-        from repro.artifacts import circuit_fingerprint
-
         key = _row_key(profile, **params)
-        fps = {name: circuit_fingerprint(c) for name, c in loaded.items()}
-        rows = [_decode_row(name, store.load_result(fps[name], key))
+        rows = [store.load_result(sources[name].circuit_fp, key,
+                                  partial(_decode_row, name))
                 for name in circuits]
     missing = [i for i, row in enumerate(rows) if row is None]
     names = [circuits[i] for i in missing]
-    bundles = {name: _bundle_for(loaded[name], store)
+    bundles = {name: _bundle_for(sources[name].circuit(), store)
                for name in dict.fromkeys(names)}
     jobs = [CoOptimizationJob(circuit=name, profile=profile,
                               bundle=bundles[name], **params)
@@ -379,7 +388,8 @@ def run_co_optimization_sweep(circuits: Sequence[str],
         for j, row in enumerate(results):
             rows[missing[j]] = row
             if store is not None:
-                store.save_result(fps[row.name], key, _encode_row(row))
+                store.save_result(sources[row.name].circuit_fp, key,
+                                  _encode_row(row))
     return rows
 
 
@@ -414,12 +424,10 @@ def _encode_row(row: SweepRow) -> Dict[str, Any]:
     return payload
 
 
-def _decode_row(name: str, payload: Optional[Dict[str, Any]]
-                ) -> Optional[SweepRow]:
-    """The row a stored payload holds, named ``name``; ``None`` when
-    there is none or it lacks a field or holds one of the wrong type."""
-    if payload is None:
-        return None
+def _decode_row(name: str, payload: Dict[str, Any]) -> Optional[SweepRow]:
+    """The row a stored payload holds, named ``name``; ``None`` when it
+    lacks a field or holds one of the wrong type (the store's decoder
+    for row records)."""
     bits = payload.get("chosen_bits")
     if not (all(type(payload.get(f)) in (int, float) for f in _ROW_FLOATS)
             and all(type(payload.get(f)) is int for f in _ROW_INTS)

@@ -2,11 +2,14 @@
 
 from repro.netlist.circuit import Circuit, CircuitError, Gate
 from repro.netlist.bench import (
+    PARSER_VERSION,
     BenchParseError,
+    NetlistSource,
     load_bench,
     load_circuit,
     load_packaged,
     parse_bench,
+    read_source,
     save_bench,
     write_bench,
 )
@@ -23,8 +26,9 @@ from repro.netlist import iscas85
 
 __all__ = [
     "Circuit", "CircuitError", "Gate",
-    "BenchParseError", "load_bench", "load_circuit", "load_packaged",
-    "parse_bench", "save_bench", "write_bench",
+    "PARSER_VERSION", "BenchParseError", "NetlistSource", "load_bench",
+    "load_circuit", "load_packaged", "parse_bench", "read_source",
+    "save_bench", "write_bench",
     "alu_circuit", "array_multiplier", "ecc_circuit", "expand_xors",
     "priority_controller", "random_logic", "scale_circuit",
     "iscas85",

@@ -18,11 +18,20 @@ same format so generated circuits round-trip.
 
 from __future__ import annotations
 
+import io
 import re
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.netlist.circuit import Circuit, CircuitError, Gate
+
+#: Version of the text -> circuit mapping below.  Bump it whenever the
+#: same ``.bench`` bytes could parse into a different circuit (a new
+#: decomposition rule, another gate order, another net naming): stored
+#: source records map file bytes to the fingerprint of the circuit this
+#: parser built, and a new version makes every one of them a miss.
+PARSER_VERSION = 1
 
 #: ISCAS gate keyword -> (library cell stem, inverting?).
 _GATE_TYPES = {
@@ -39,6 +48,9 @@ _GATE_TYPES = {
 }
 
 _MAX_FANIN = 4
+
+#: Where the packaged netlists (``c17``) live.
+_DATA_DIR = Path(__file__).parent / "data"
 
 _LINE_RE = re.compile(
     r"^\s*(?P<out>[\w.\[\]]+)\s*=\s*(?P<type>[A-Za-z]+)\s*\((?P<ins>[^)]*)\)\s*$"
@@ -151,44 +163,82 @@ def load_packaged(name: str) -> Circuit:
     Raises:
         FileNotFoundError: for names without a bundled netlist.
     """
-    data_dir = Path(__file__).parent / "data"
-    path = data_dir / f"{name}.bench"
+    path = _DATA_DIR / f"{name}.bench"
     if not path.exists():
-        available = sorted(p.stem for p in data_dir.glob("*.bench"))
+        available = sorted(p.stem for p in _DATA_DIR.glob("*.bench"))
         raise FileNotFoundError(
             f"no bundled netlist {name!r}; available: {available}")
     return load_bench(path)
 
 
-def load_circuit(name: str) -> Circuit:
-    """Load a circuit by name: the one lookup behind every front end.
+@dataclass(frozen=True)
+class NetlistSource:
+    """What a circuit name points at, read but not yet parsed.
+
+    ``name`` is the circuit's name (the file stem for a netlist file);
+    ``data`` holds the file's bytes, or ``None`` for an ISCAS85
+    stand-in, which has no file.
+    """
+
+    name: str
+    data: Optional[bytes] = field(default=None, repr=False)
+
+    def parse(self) -> Circuit:
+        """The circuit, parsed from ``data`` exactly as
+        :func:`load_bench` parses the file it was read from.
+
+        Raises:
+            ValueError: for bytes that do not decode as text.
+            BenchParseError, CircuitError: for a malformed netlist.
+        """
+        if self.data is None:
+            from repro.netlist import iscas85
+
+            return iscas85.load(self.name)
+        # The text ``Path.read_text`` gives: same default encoding,
+        # same newline translation, same decode error.
+        text = io.TextIOWrapper(io.BytesIO(self.data)).read()
+        return parse_bench(text, name=self.name)
+
+
+def read_source(name: str) -> NetlistSource:
+    """Look a circuit name up and read its netlist file, once.
 
     Tries, in order, an ISCAS85 stand-in (``c432`` ...), a packaged
     netlist (``c17``), then a ``.bench`` file path.
 
     Raises:
         ValueError: when ``name`` is none of the three, or names a path
-            that cannot be read as text.
-        BenchParseError, CircuitError: for a malformed ``.bench`` file.
+            that cannot be read.
     """
     from repro.netlist import iscas85
 
     if name in iscas85.SPECS:
-        return iscas85.load(name)
+        return NetlistSource(name)
+    path = _DATA_DIR / f"{name}.bench"
+    if not path.exists():
+        path = Path(name)
+        if not path.exists():
+            known = ", ".join(list(iscas85.NAMES) + ["c17"])
+            raise ValueError(f"unknown circuit {name!r} (known benchmarks: "
+                             f"{known}; or pass a .bench path)")
     try:
-        return load_packaged(name)
-    except FileNotFoundError:
-        pass
-    path = Path(name)
-    if path.exists():
-        try:
-            return load_bench(path)
-        except OSError as exc:
-            raise ValueError(f"cannot read {name!r}: "
-                             f"{exc.strerror or exc}") from None
-    known = ", ".join(list(iscas85.NAMES) + ["c17"])
-    raise ValueError(f"unknown circuit {name!r} "
-                     f"(known benchmarks: {known}; or pass a .bench path)")
+        return NetlistSource(path.stem, path.read_bytes())
+    except OSError as exc:
+        raise ValueError(f"cannot read {name!r}: "
+                         f"{exc.strerror or exc}") from None
+
+
+def load_circuit(name: str) -> Circuit:
+    """Load a circuit by name: the one lookup behind every front end
+    (:func:`read_source`, then :meth:`NetlistSource.parse`).
+
+    Raises:
+        ValueError: when ``name`` is none of the three kinds, or names
+            a path that cannot be read as text.
+        BenchParseError, CircuitError: for a malformed ``.bench`` file.
+    """
+    return read_source(name).parse()
 
 
 #: Library cell -> ``.bench`` keyword for the writer.

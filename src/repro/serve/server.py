@@ -72,6 +72,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.queue import JobQueue
 from repro.serve.workers import BundleCache, Worker
+from repro.sta import decode_age_numbers
 
 #: Spans kept in the service tracer (oldest dropped past this), so a
 #: long-lived server's /metrics document stays bounded.
@@ -418,18 +419,23 @@ class AnalysisService:
         1. active-job coalescing — an identical queued/running job is
            returned as-is instead of queuing a duplicate;
         2. result cache — a stored ``(circuit_fp, scenario_key)``
-           payload yields an immediately-``done`` record (``cached``
-           flag set) without queue or worker involvement;
-        3. a fresh ``queued`` record enters the durable FIFO.
+           payload holding the four ``age`` numbers yields an
+           immediately-``done`` record (``cached`` flag set) without
+           queue or worker involvement;
+        3. a fresh ``queued`` record enters the durable FIFO (its
+           result overwrites a record the check rejected).
 
-        A finishing job stores its result before it leaves the active
-        index, so checking in this order never misses both.
+        The circuit is resolved through the store's source records
+        (:func:`repro.artifacts.resolve_source`): a ``.bench`` file the
+        store has seen is hashed, not parsed.  A finishing job stores
+        its result before it leaves the active index, so checking in
+        this order never misses both.
 
         Raises ``ValueError`` before any work for a ``timeout_s`` that
         is not a finite positive number, a ``max_retries`` that is not
         a non-negative integer, or a fault without ``allow_faults``.
         """
-        from repro.netlist import load_circuit
+        from repro.artifacts import resolve_source
 
         if timeout_s is not None and (
                 isinstance(timeout_s, bool)
@@ -445,26 +451,24 @@ class AnalysisService:
         if fault is not None and not self.config.allow_faults:
             raise ValueError("fault injection requires --allow-faults")
         with self.obs.span("serve.submit", circuit=circuit):
-            loaded = load_circuit(circuit)
-            from repro.artifacts.fingerprint import circuit_fingerprint
-
-            circuit_fp = circuit_fingerprint(loaded)
+            source = resolve_source(circuit, self.store)
+            circuit_fp = source.circuit_fp
             key = scenario.key()
             active = self.queue.active_job_for(circuit_fp, key)
             if active is not None and fault is None:
                 self.obs.count("serve.coalesced_submits")
                 return active
-            if self.store.has_result(circuit_fp, key):
+            if self.store.has_result(circuit_fp, key, decode_age_numbers):
                 record = JobRecord(
                     job_id=new_job_id(), circuit=circuit,
-                    circuit_name=loaded.name, circuit_fp=circuit_fp,
+                    circuit_name=source.name, circuit_fp=circuit_fp,
                     scenario=scenario, scenario_key=key, state=DONE,
                     cached=True)
                 self.obs.count("serve.cache_answers")
                 return self.queue.admit_terminal(record)
             record = JobRecord(
                 job_id=new_job_id(), circuit=circuit,
-                circuit_name=loaded.name, circuit_fp=circuit_fp,
+                circuit_name=source.name, circuit_fp=circuit_fp,
                 scenario=scenario, scenario_key=key,
                 timeout_s=(self.config.timeout_s if timeout_s is None
                            else float(timeout_s)),
@@ -491,7 +495,8 @@ class AnalysisService:
         if record is None or record.state != DONE:
             return record, None
         numbers = self.store.load_result(record.circuit_fp,
-                                         record.scenario_key)
+                                         record.scenario_key,
+                                         decode_age_numbers)
         return record, numbers
 
     def healthz(self) -> Dict[str, Any]:

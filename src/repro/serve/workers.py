@@ -85,13 +85,9 @@ def run_age_analysis(context: Any, scenario: AgeScenario) -> Dict[str, Any]:
 
     obs.gauge("serve.worker.gates", context.circuit.n_gates())
     standby = {"worst": ALL_ZERO, "best": ALL_ONE}[scenario.standby]
-    res = context.aged_delays(scenario.profile(),
-                              scenario.lifetime_seconds(),
-                              standby=standby)
-    return {"fresh_delay": res.fresh_delay,
-            "aged_delay": res.aged_delay,
-            "degradation": res.relative_degradation,
-            "max_shift": res.max_shift}
+    return context.aged_delays(scenario.profile(),
+                               scenario.lifetime_seconds(),
+                               standby=standby).numbers()
 
 
 class WarmCircuits:
@@ -358,7 +354,14 @@ class BundleCache:
         self._bundles: Dict[str, Any] = {}
 
     def bundle_for(self, circuit_source: str, circuit_fp: str) -> Any:
-        """The compiled bundle of one circuit (build-once semantics)."""
+        """The compiled bundle of one circuit (build-once semantics).
+
+        Raises:
+            ValueError: when ``circuit_source`` no longer holds the
+                circuit ``circuit_fp`` names (a ``.bench`` file edited
+                since submit); nothing is built or stored, so the job's
+                numbers can never be another circuit's.
+        """
         from repro.context import AnalysisContext
         from repro.netlist import load_circuit
 
@@ -370,6 +373,12 @@ class BundleCache:
                 return bundle
             circuit = load_circuit(circuit_source)
             context = AnalysisContext(circuit, store=self.store)
+            built_fp = context.content_fingerprints()["circuit"]
+            if built_fp != circuit_fp:
+                raise ValueError(
+                    f"source changed since submit: {circuit_source!r} now "
+                    f"holds circuit {built_fp[:12]}, the job was submitted "
+                    f"for circuit {circuit_fp[:12]}")
             bundle = context.save_to_store()
             self._bundles[circuit_fp] = bundle
             if self.obs is not None:

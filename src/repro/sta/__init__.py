@@ -14,6 +14,7 @@ from repro.sta.degradation import (
     AgedDelaySummary,
     AgedTimingResult,
     AgingAnalyzer,
+    decode_age_numbers,
     standby_net_states,
 )
 
@@ -21,5 +22,5 @@ __all__ = [
     "PO_CAP", "WIRE_CAP", "TimingResult", "analyze", "gate_loads",
     "TimingPath", "enumerate_paths", "path_slack_profile",
     "ALL_ONE", "ALL_ZERO", "AgedDelaySummary", "AgedTimingResult",
-    "AgingAnalyzer", "standby_net_states",
+    "AgingAnalyzer", "decode_age_numbers", "standby_net_states",
 ]

@@ -380,6 +380,24 @@ class AgedTimingResult:
         return max(self.shifts.values()) if self.shifts else 0.0
 
 
+#: The fields of an ``age`` result record, in the order it is written.
+AGE_NUMBERS = ("fresh_delay", "aged_delay", "degradation", "max_shift")
+
+
+def decode_age_numbers(payload: Dict[str, object]
+                       ) -> Optional[Dict[str, object]]:
+    """A stored ``age`` result record (:meth:`AgedDelaySummary.numbers`),
+    or ``None`` when one of :data:`AGE_NUMBERS` is missing or not a
+    number.
+
+    The one check of ``repro age --store`` and of ``repro serve``'s
+    cache, so a record either answers both or neither.
+    """
+    if all(type(payload.get(name)) in (int, float) for name in AGE_NUMBERS):
+        return payload
+    return None
+
+
 @dataclass(frozen=True)
 class AgedDelaySummary:
     """Scalar fresh-vs-aged summary with no per-net state.
@@ -404,3 +422,11 @@ class AgedDelaySummary:
     def relative_degradation(self) -> float:
         """The paper's headline metric: dDelay / Delay (fractional)."""
         return self.delay_increase / self.fresh_delay
+
+    def numbers(self) -> Dict[str, float]:
+        """The ``age`` result record: the four numbers ``repro age``
+        prints, keyed as in :data:`AGE_NUMBERS`."""
+        return {"fresh_delay": self.fresh_delay,
+                "aged_delay": self.aged_delay,
+                "degradation": self.relative_degradation,
+                "max_shift": self.max_shift}

@@ -336,6 +336,27 @@ class TestAgeStoreCli:
         assert "result hits=1 misses=0" in captured.err
 
 
+    @pytest.mark.parametrize("damage", ["empty-object", "missing-field",
+                                        "wrong-type"])
+    def test_record_without_the_numbers_is_a_counted_miss(
+            self, tmp_path, capsys, damage):
+        store = tmp_path / "store"
+        argv = ["age", "c17", "--store", str(store)]
+        assert main(argv) == 0
+        cold_out = capsys.readouterr().out
+        [record] = store.glob("results/*/*.json")
+        good = record.read_bytes()
+        record.write_text(json.dumps(_damaged(json.loads(good), damage,
+                                              "max_shift", "aged_delay")))
+        report = tmp_path / "damaged.json"
+        assert main(argv + ["--metrics", str(report)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == cold_out
+        assert "result hits=0 misses=1" in captured.err
+        doc = json.loads(report.read_text())
+        assert self._counter(doc, "store.result_invalid") == 1
+        assert record.read_bytes() == good
+
     @pytest.mark.parametrize("part", ["manifest", "npz"])
     def test_damaged_bundle_is_rebuilt(self, tmp_path, capsys, part):
         store = tmp_path / "store"
@@ -409,7 +430,10 @@ class TestSweepStoreCli:
             assert TestAgeStoreCli._counter(doc, name) == 0, name
         [scope] = [e for e in doc["cache_stats"]
                    if e["scope"].startswith("store:")]
-        assert scope["artifacts"] == {"result": {"hits": 2, "misses": 0}}
+        # c17 is a packaged netlist file, answered by its source record;
+        # c432 is a stand-in, which has no file and no source record.
+        assert scope["artifacts"] == {"result": {"hits": 2, "misses": 0},
+                                      "source": {"hits": 1, "misses": 0}}
         names = {s["name"] for root in doc["spans"]
                  for s in _walk_spans(root)}
         assert "flow.run_sweep" not in names
@@ -451,6 +475,21 @@ class TestSweepStoreCli:
         assert warm.out == reference
         assert str(b) in warm.out and str(a) not in warm.out
 
+    @pytest.mark.parametrize("damage", ["empty-object", "missing-field",
+                                        "wrong-type"])
+    def test_record_without_the_row_is_a_counted_miss(self, tmp_path,
+                                                      capsys, damage):
+        argv = ["c17"] + self.ARGS + ["--store", str(tmp_path / "store")]
+        cold = self._sweep(capsys, argv)
+        [record] = (tmp_path / "store").glob("results/*/*.json")
+        good = record.read_bytes()
+        record.write_text(json.dumps(_damaged(json.loads(good), damage,
+                                              "evaluated", "set_size")))
+        again = self._sweep(capsys, argv)
+        assert "result hits=0 misses=1" in again.err
+        assert again.out == cold.out
+        assert record.read_bytes() == good
+
     @pytest.mark.parametrize("flag", [["--shards", "2"], ["--resume"],
                                       ["--max-shards", "1"]],
                              ids=["shards", "resume", "max-shards"])
@@ -460,6 +499,34 @@ class TestSweepStoreCli:
                  + self.ARGS + flag)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _damaged(payload, damage, missing, mistyped):
+    """A result payload that is still a JSON object but lacks the
+    ``missing`` field or holds ``mistyped`` as a string."""
+    if damage == "empty-object":
+        return {}
+    if damage == "missing-field":
+        return {k: v for k, v in payload.items() if k != missing}
+    return dict(payload, **{mistyped: str(payload[mistyped])})
+
+
+class TestNoAbbreviatedFlags:
+    """Only whole option names are accepted: a prefix is an error, not
+    a silent guess at another flag."""
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "x.bench", "--gates", "200", "--out", "5"],
+        ["age", "c17", "--sto", "S"],
+        ["report", "history", "--store", "S", "--lim", "1"],
+    ], ids=["generate-out", "age-sto", "report-lim"])
+    def test_prefix_is_rejected(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def _walk_spans(span):

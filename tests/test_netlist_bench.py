@@ -158,3 +158,78 @@ class TestRoundTrip:
         clone = parse_bench(write_bench(c), name="x")
         for vec in all_vectors(c):
             assert evaluate(clone, vec)["g"] == evaluate(c, vec)["g"]
+
+
+#: A netlist that exercises every rule of ``_decompose_wide``: fan-in-9
+#: AND and NOR trees, a 3-input XNOR chain, single-input AND and NAND,
+#: the NOT/BUFF keywords, comments, blank lines and lowercase I/O.
+EVERY_RULE_BENCH = """\
+# Every rule of the .bench -> library-cell mapping.
+input(a1)
+INPUT(a2)
+input( a3 )
+INPUT(a4)
+INPUT(a5)
+INPUT(a6)
+INPUT(a7)
+INPUT(a8)
+INPUT(a9)
+
+OUTPUT(and9)
+output(nor9)
+OUTPUT(xnor3)
+OUTPUT(one_and)
+OUTPUT(one_nand)
+OUTPUT(inv)
+OUTPUT(buf)
+
+and9 = AND(a1, a2, a3, a4, a5, a6, a7, a8, a9)   # two AND4 levels
+nor9 = NOR(a9, a8, a7, a6, a5, a4, a3, a2, a1)
+xnor3 = XNOR(a1, a5, a9)
+one_and = AND(a2)
+one_nand = NAND(a3)
+
+inv = NOT(and9)
+buf = BUFF(nor9)
+"""
+
+
+class TestParserVersionPin:
+    """The circuit each text parses into is pinned per PARSER_VERSION.
+
+    Stored source records map file bytes to the fingerprint of the
+    circuit this parser built from them.  If the parser starts building
+    another circuit from the same bytes while PARSER_VERSION stays, a
+    warm run would answer with the numbers of the old circuit.
+    """
+
+    #: (PARSER_VERSION, SCHEMA_VERSION) -> input -> circuit fingerprint.
+    PINNED = {
+        (1, 1): {
+            "c17": "4da3f28eacea6c27b8d82696ccbe5da4"
+                   "161468e5d69e672faadb4f72b9476bc9",
+            "every-rule": "22b8c24da51a4eb3f6e55d17eace8400"
+                          "9974a0e6478d7f60e61bc99c532bbdd2",
+        },
+    }
+
+    @pytest.mark.parametrize("name", ["c17", "every-rule"])
+    def test_fingerprint_is_pinned(self, name):
+        from pathlib import Path
+
+        from repro.artifacts import SCHEMA_VERSION, circuit_fingerprint
+        from repro.netlist import PARSER_VERSION, bench
+
+        if name == "c17":
+            text = (Path(bench.__file__).parent / "data" / "c17.bench"
+                    ).read_text()
+        else:
+            text = EVERY_RULE_BENCH
+        got = circuit_fingerprint(parse_bench(text, name=name))
+        pinned = self.PINNED.get((PARSER_VERSION, SCHEMA_VERSION), {})
+        assert got == pinned.get(name), (
+            f"parse_bench now builds another circuit from the {name!r} "
+            f"text (fingerprint {got}).  Bump PARSER_VERSION in "
+            "src/repro/netlist/bench.py, so stored source records stop "
+            "mapping these bytes to the old circuit, and pin the new "
+            "fingerprints under the new version here.")

@@ -177,6 +177,54 @@ class TestDamagedBundle:
         assert served == capsys.readouterr().out
 
 
+class TestInvalidResultRecord:
+    def test_submit_queues_and_the_job_rewrites_it(self, tmp_path, capsys):
+        from repro.cli import main
+
+        assert main(["age", "c17", "--store", str(tmp_path / "store")]) == 0
+        capsys.readouterr()
+        [record] = (tmp_path / "store").glob("results/*/*.json")
+        good = json.loads(record.read_text())
+        record.write_text("{}")
+        service = _service(tmp_path, max_workers=1, max_retries=0)
+        try:
+            job = service.submit("c17", AgeScenario())
+            assert not job.cached and job.state != DONE
+            assert _wait(lambda: service.queue.get(
+                job.job_id).state in (DONE, FAILED))
+            assert service.queue.get(job.job_id).state == DONE
+            _, numbers = service.result(job.job_id)
+        finally:
+            service.stop(drain=False)
+        assert numbers == good
+        assert json.loads(record.read_text()) == good
+
+
+class TestSourceChangedSinceSubmit:
+    def test_job_fails_and_stores_nothing(self, tmp_path):
+        from repro.netlist import save_bench, scale_circuit
+
+        path = tmp_path / "x.bench"
+        save_bench(scale_circuit(300, seed=1), path)
+        store = ArtifactStore(tmp_path / "store")
+        service = AnalysisService(store, ServeConfig(
+            max_workers=1, max_retries=0, backoff_s=0.0))
+        job = service.submit(str(path), AgeScenario())
+        save_bench(scale_circuit(300, seed=2), path)
+        service.start()
+        try:
+            assert _wait(lambda: service.queue.get(
+                job.job_id).state in (DONE, FAILED))
+            final = service.queue.get(job.job_id)
+        finally:
+            service.stop(drain=False)
+        assert final.state == FAILED
+        assert final.error["type"] == "launch-error"
+        assert "source changed since submit" in final.error["message"]
+        assert not list(store.root.glob("results/*/*.json"))
+        assert not list(store.root.glob("bundles/*/*.json"))
+
+
 class TestRestartRecovery:
     def _seed_record(self, store, circuit_fp, scenario, state,
                      attempts=0):
