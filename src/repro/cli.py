@@ -228,9 +228,8 @@ def _print_age_report(circuit_name: str, profile: OperatingProfile,
     local ``repro age`` output (the e2e cache-equivalence gate).
     """
     print(f"circuit        : {circuit_name}")
-    print(f"scenario       : RAS {profile.ras_label()}, "
-          f"{profile.t_active:.0f} K / {profile.t_standby:.0f} K, "
-          f"{years_f:g} years, {standby}-case standby")
+    print(f"scenario       : {profile.header(years_f)}, "
+          f"{standby}-case standby")
     print(f"fresh delay    : {ns(numbers['fresh_delay'])} ns")
     print(f"aged delay     : {ns(numbers['aged_delay'])} ns")
     print(f"degradation    : {pct(numbers['degradation'])}")
@@ -246,24 +245,17 @@ def _store_note(store) -> None:
           f"result hits={r['hits']} misses={r['misses']}", file=sys.stderr)
 
 
-def _aged_numbers(context, profile, args) -> dict:
-    """The four ``age`` numbers, computed on ``context``."""
-    from repro.sta import ALL_ONE, ALL_ZERO
-
-    standby = {"worst": ALL_ZERO, "best": ALL_ONE}[args.standby]
-    return context.aged_delays(profile, years(args.years),
-                               standby=standby).numbers()
-
-
 def cmd_age(args) -> int:
-    """``age``: temperature-aware aged timing of one circuit.
+    """``age``: temperature-aware aged timing of one circuit: the
+    :class:`~repro.serve.protocol.AgeScenario` query ``repro serve``
+    answers, checked before the circuit is read or a store touched.
 
     With ``--store`` the circuit is resolved through the store's source
     record (:func:`repro.artifacts.resolve_source`) and its result
     record is looked up first, keyed by ``(circuit_fingerprint,
-    scenario_key)`` — the lookup ``repro serve`` makes on submit.  A
-    hit on both prints from the two records alone: the netlist is read
-    and hashed but not parsed, and no bundle is loaded, hydrated,
+    AgeScenario.key())`` — the lookup ``repro serve`` makes on submit.
+    A hit on both prints from the two records alone: the netlist is
+    read and hashed but not parsed, and no bundle is loaded, hydrated,
     lowered or written.  A result miss (no record, a damaged one, or
     one without the four numbers) builds the store-backed context,
     which hydrates from the stored bundle when there is one, computes,
@@ -272,38 +264,35 @@ def cmd_age(args) -> int:
     byte-identical to the cold run's.
     """
     from repro.context import AnalysisContext
-    store_dir = getattr(args, "store", None)
-    if store_dir is None:
-        circuit = resolve_circuit(args.circuit)
-        profile = _profile_from(args)
-        # Summary path: both STA passes stay on ndarrays, so generated
-        # 10^5-gate circuits age in kernel time.  Same floats as the
-        # full aged_timing() result (compiled == scalar, pinned).
-        numbers = _aged_numbers(AnalysisContext(circuit), profile, args)
-        name = circuit.name
-    else:
-        from repro.artifacts import ArtifactStore, scenario_key
+    from repro.serve.protocol import AgeScenario
+
+    _profile_from(args)  # the flags' one-line errors
+    scenario = AgeScenario(ras=args.ras, t_active=args.t_active,
+                           t_standby=args.t_standby, years=args.years,
+                           standby=args.standby)
+    store = source = numbers = None
+    if args.store is not None:
+        from repro.artifacts import ArtifactStore
         from repro.sta import decode_age_numbers
 
-        store = ArtifactStore(store_dir)
+        store = ArtifactStore(args.store)
         source = _resolve(args.circuit, store)
-        profile = _profile_from(args)
-        key = scenario_key({"command": "age", "ras": args.ras,
-                            "t_active": args.t_active,
-                            "t_standby": args.t_standby,
-                            "years": args.years,
-                            "standby": args.standby})
-        numbers = store.load_result(source.circuit_fp, key,
+        numbers = store.load_result(source.circuit_fp, scenario.key(),
                                     decode_age_numbers)
-        if numbers is None:
-            context = AnalysisContext(source.circuit(), store=store)
-            numbers = _aged_numbers(context, profile, args)
-            store.save_result(source.circuit_fp, key, numbers)
+    if numbers is None:
+        circuit = (resolve_circuit(args.circuit) if source is None
+                   else source.circuit())
+        context = AnalysisContext(circuit, store=store)
+        numbers = scenario.compute(context)
+        if store is not None:
+            store.save_result(source.circuit_fp, scenario.key(), numbers)
             if not store.has_bundle(context.content_key()):
                 context.save_to_store()
+    if store is not None:
         _store_note(store)
-        name = source.name
-    _print_age_report(name, profile, args.years, args.standby, numbers)
+    _print_age_report(circuit.name if source is None else source.name,
+                      scenario.profile(), scenario.years, scenario.standby,
+                      numbers)
     return 0
 
 
@@ -363,9 +352,7 @@ def cmd_guardband(args) -> int:
     profile = _profile_from(args)
     gb = guard_band(profile, WORST_CASE_DEVICE, lifetime=years(args.years),
                     vth0=args.vth0)
-    print(f"scenario: RAS {profile.ras_label()}, "
-          f"{profile.t_active:.0f} K / {profile.t_standby:.0f} K, "
-          f"Vth0 {args.vth0:g} V")
+    print(f"scenario: {profile.header()}, Vth0 {args.vth0:g} V")
     print(gb.summary())
     return 0
 
@@ -449,9 +436,7 @@ def cmd_sweep(args) -> int:
         ["circuit", "delay (ns)", "min dDelay", "MLV diff",
          "worst-case", "leak saved", "|MLV set|", "evaluated"],
         printable,
-        title=f"co-optimization sweep (RAS {profile.ras_label()}, "
-              f"{profile.t_active:.0f} K / {profile.t_standby:.0f} K, "
-              f"{args.years:g} years)"))
+        title=f"co-optimization sweep ({profile.header(args.years)})"))
     return 0
 
 

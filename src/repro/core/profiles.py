@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
+from typing import Optional
 
 from repro.core.temperature import ModeTimes
 
@@ -68,17 +70,36 @@ class OperatingProfile:
         return 1.0 - self.active_fraction
 
     def ras_label(self) -> str:
-        """Human-readable RAS form, reduced over small integers."""
-        a, s = self.active_fraction, self.standby_fraction
-        for denom in range(1, 100):
-            if (abs(a * denom - round(a * denom)) < 1e-9
-                    and abs(s * denom - round(s * denom)) < 1e-9):
-                return f"{round(a * denom)}:{round(s * denom)}"
-        return f"{a:.2f}:{s:.2f}"
+        """The RAS as ``active:standby``, exact: reduced integers when
+        they give back :attr:`active_fraction` exactly (``1:9``,
+        ``1:300``), else the two fractions in their shortest exact
+        form."""
+        a = self.active_fraction
+        ratio = Fraction(a).limit_denominator(10**6)
+        active, total = ratio.numerator, ratio.denominator
+        if active / total == a:
+            return f"{active}:{total - active}"
+        return f"{a!r}:{self.standby_fraction!r}"
+
+    def header(self, years: Optional[float] = None) -> str:
+        """The scenario header ``age``, ``guardband`` and ``sweep``
+        print (RAS, temperatures and, given, the lifetime in years),
+        every value exact, so two scenarios never print alike."""
+        text = (f"RAS {self.ras_label()}, {_exact(self.t_active)} K / "
+                f"{_exact(self.t_standby)} K")
+        if years is not None:
+            text += f", {_exact(years)} years"
+        return text
 
     def isothermal(self) -> bool:
         """True when active and standby share one temperature."""
         return self.t_active == self.t_standby
+
+
+def _exact(value: float) -> str:
+    """``value`` as an integer when integral, else exact (``repr``)."""
+    value = float(value)
+    return f"{value:.0f}" if value.is_integer() else repr(value)
 
 
 @dataclass(frozen=True)

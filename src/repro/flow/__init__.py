@@ -17,11 +17,9 @@ from repro.flow.parallel import (
     CoOptimizationJob,
     PotentialSweepJob,
     SweepRow,
-    co_optimize_circuit,
     load_circuit,
     run_co_optimization_sweep,
     run_potential_sweep,
-    run_sweep,
 )
 
 __all__ = [
@@ -31,6 +29,5 @@ __all__ = [
     "SizingResult", "SizingTimer", "size_for_aging",
     "format_table", "mv", "ns", "pct", "ua",
     "CoOptimizationJob", "PotentialSweepJob", "SweepRow",
-    "co_optimize_circuit", "load_circuit", "run_co_optimization_sweep",
-    "run_potential_sweep", "run_sweep",
+    "load_circuit", "run_co_optimization_sweep", "run_potential_sweep",
 ]

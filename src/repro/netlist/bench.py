@@ -31,7 +31,7 @@ from repro.netlist.circuit import Circuit, CircuitError, Gate
 #: decomposition rule, another gate order, another net naming): stored
 #: source records map file bytes to the fingerprint of the circuit this
 #: parser built, and a new version makes every one of them a miss.
-PARSER_VERSION = 1
+PARSER_VERSION = 2
 
 #: ISCAS gate keyword -> (library cell stem, inverting?).
 _GATE_TYPES = {
@@ -108,8 +108,9 @@ def parse_bench(text: str, name: str = "bench") -> Circuit:
     """Parse ``.bench`` text into a :class:`Circuit`.
 
     Raises:
-        BenchParseError: on syntax errors (message carries line number)
-            and on a netlist that declares no ``OUTPUT``.
+        BenchParseError: on syntax errors (message carries line number),
+            on a netlist that declares no ``OUTPUT``, and on a
+            structural error such as a combinational cycle.
     """
     inputs: List[str] = []
     outputs: List[str] = []
@@ -142,9 +143,12 @@ def parse_bench(text: str, name: str = "bench") -> Circuit:
     if not outputs:
         raise BenchParseError("no OUTPUT declared")
     try:
-        return Circuit(name, inputs, outputs, gates)
+        circuit = Circuit(name, inputs, outputs, gates)
+        # Memoized on the circuit, so the analysis reuses this order.
+        circuit.topological_order()
     except CircuitError as exc:
         raise BenchParseError(f"structural error: {exc}") from exc
+    return circuit
 
 
 def load_bench(path: Union[str, Path]) -> Circuit:

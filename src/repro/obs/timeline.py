@@ -9,10 +9,9 @@ microsecond timestamps).
 
 Lane assignment puts cross-process spans on their own tracks: the
 parent process renders as pid 1 ("main"); a span carrying a ``pid``
-attribute (shipped by pool workers via
-:class:`~repro.flow.parallel.WorkerObservation` and stamped by serve
-workers on their root span) claims that OS pid's lane, and its
-children inherit it.  Spans with only a ``worker`` index (older
+attribute (stamped on the root span of each reply adopted from a
+worker process, sweep row or served job) claims that OS pid's lane,
+and its children inherit it.  Spans with only a ``worker`` index (older
 payloads) get synthetic per-worker lanes.  Each lane opens with a
 ``process_name`` metadata event, so the Perfetto track names read
 ``main`` / ``worker 3 (pid 12345)``.

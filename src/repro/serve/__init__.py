@@ -15,47 +15,34 @@ Layering (see docs/SERVICE.md):
 * :mod:`repro.serve.queue` — the restart-safe durable FIFO;
 * :mod:`repro.serve.workers` — long-lived, killable worker processes
   that keep hydrated circuits between jobs, with timeouts, crash
-  classification, and bundle shipping;
+  classification, and bundle shipping (sweep rows run on them too);
 * :mod:`repro.serve.server` — the event-driven scheduler, the
   service-owned observability hub, and the six-endpoint HTTP layer.
 """
 
-from repro.serve.protocol import (
-    DONE,
-    FAILED,
-    JOB_SCHEMA,
-    QUEUED,
-    RUNNING,
-    STATES,
-    TERMINAL_STATES,
-    AgeScenario,
-    JobRecord,
-    new_job_id,
-    structured_error,
-)
-from repro.serve.queue import JobQueue
-from repro.serve.server import (
-    AnalysisService,
-    ServeConfig,
-    ServiceHTTPServer,
-    ServiceObs,
-    make_server,
-)
-from repro.serve.workers import (
-    BundleCache,
-    WarmCircuits,
-    Worker,
-    run_age_analysis,
-    serve_job,
-)
+import importlib
 
-__all__ = [
-    "JOB_SCHEMA", "QUEUED", "RUNNING", "DONE", "FAILED",
-    "STATES", "TERMINAL_STATES",
-    "AgeScenario", "JobRecord", "new_job_id", "structured_error",
-    "JobQueue",
-    "BundleCache", "WarmCircuits", "Worker", "run_age_analysis",
-    "serve_job",
-    "AnalysisService", "ServeConfig", "ServiceHTTPServer", "ServiceObs",
-    "make_server",
-]
+#: Public name -> its submodule, imported on first access (PEP 562):
+#: ``repro age`` and ``repro sweep`` never import the HTTP server.
+_EXPORTS = {
+    **dict.fromkeys(("JOB_SCHEMA", "QUEUED", "RUNNING", "DONE", "FAILED",
+                     "STATES", "TERMINAL_STATES", "AgeScenario",
+                     "JobRecord", "new_job_id", "structured_error"),
+                    "protocol"),
+    "JobQueue": "queue",
+    **dict.fromkeys(("BundleCache", "WarmCircuits", "Worker", "serve_job"),
+                    "workers"),
+    **dict.fromkeys(("AnalysisService", "ServeConfig", "ServiceHTTPServer",
+                     "ServiceObs", "make_server"), "server"),
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` (PEP 562)."""
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    module = importlib.import_module(f"{__name__}.{_EXPORTS[name]}")
+    return getattr(module, name)

@@ -4,12 +4,12 @@ Everything the service persists or ships over HTTP is defined here as
 plain JSON-able data:
 
 * :class:`AgeScenario` — one aged-timing query (RAS split, active and
-  standby temperatures, lifetime horizon, bounding standby state).  Its
-  :meth:`~AgeScenario.key` is the *same*
-  :func:`~repro.artifacts.fingerprint.scenario_key` payload the
-  ``repro age --store`` CLI path uses, so the service's result cache
-  and the CLI's are one cache: a result computed by either is a warm
-  hit for the other, byte for byte (JSON round-trips floats exactly).
+  standby temperatures, lifetime horizon, bounding standby state).
+  ``repro age`` and ``repro serve`` both key its result by
+  :meth:`~AgeScenario.key` and compute it with
+  :meth:`~AgeScenario.compute`, so the service's result cache and the
+  CLI's are one cache: a result computed by either is a warm hit for
+  the other, byte for byte (JSON round-trips floats exactly).
 * :class:`JobRecord` — the durable job state machine (``queued ->
   running -> done | failed``) persisted as one atomic JSON file per
   job in the :class:`~repro.artifacts.store.ArtifactStore`.  A record
@@ -90,6 +90,9 @@ class AgeScenario:
     job exists.
     """
 
+    #: The query kind a worker names its span after.
+    kind = "age"
+
     ras: str = "1:9"
     t_active: float = 400.0
     t_standby: float = 330.0
@@ -110,13 +113,9 @@ class AgeScenario:
             self.ras, t_active=self.t_active, t_standby=self.t_standby))
 
     def payload(self) -> Dict[str, Any]:
-        """The canonical scenario-key payload.
-
-        This is byte-compatible with the dict ``repro age --store``
-        hashes, which is what makes the service cache and the CLI
-        cache interchangeable.  Do not reorder semantics here without
-        bumping the fingerprint schema.
-        """
+        """The canonical scenario-key payload, which ``repro age
+        --store`` and the service both hash.  Do not reorder semantics
+        here without bumping the fingerprint schema."""
         return {"command": "age", "ras": self.ras,
                 "t_active": self.t_active, "t_standby": self.t_standby,
                 "years": self.years, "standby": self.standby}
@@ -126,6 +125,17 @@ class AgeScenario:
         from repro.artifacts.fingerprint import scenario_key
 
         return scenario_key(self.payload())
+
+    def compute(self, context: Any) -> Dict[str, float]:
+        """The four ``repro age`` numbers of this scenario on
+        ``context``, on the summary path (both STA passes stay on
+        ndarrays): the record :func:`~repro.sta.decode_age_numbers`
+        checks."""
+        from repro.sta import ALL_ONE, ALL_ZERO
+
+        standby = {"worst": ALL_ZERO, "best": ALL_ONE}[self.standby]
+        return context.aged_delays(self.profile(), self.lifetime_seconds(),
+                                   standby=standby).numbers()
 
     def profile(self):
         """The :class:`~repro.core.profiles.OperatingProfile`."""

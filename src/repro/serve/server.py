@@ -71,7 +71,7 @@ from repro.serve.protocol import (
     structured_error,
 )
 from repro.serve.queue import JobQueue
-from repro.serve.workers import BundleCache, Worker
+from repro.serve.workers import BundleCache, Worker, idle_worker
 from repro.sta import decode_age_numbers
 
 #: Spans kept in the service tracer (oldest dropped past this), so a
@@ -566,15 +566,12 @@ class AnalysisService:
     def _worker_for(self, bundle_key: str) -> Worker:
         """An idle worker, preferring one that holds the circuit; a new
         one only when none is idle."""
-        idle = [w for w in self._pool if w.job_id is None]
-        for worker in idle:
-            if bundle_key in worker.held:
-                return worker
-        if idle:
-            return idle[0]
-        worker = Worker()
-        self._pool.append(worker)
-        self.obs.count("serve.workers_spawned")
+        worker = idle_worker(self._pool, bundle_key)
+        if worker is None:
+            # Spawned, never forked: this process runs threads.
+            worker = Worker(multiprocessing.get_context("spawn"))
+            self._pool.append(worker)
+            self.obs.count("serve.workers_spawned")
         return worker
 
     def _launch_ready(self) -> None:
@@ -592,7 +589,9 @@ class AnalysisService:
                 bundle = self.bundles.bundle_for(record.circuit,
                                                  record.circuit_fp)
                 worker = self._worker_for(bundle.bundle_key)
-                worker.start(record, bundle, seq)
+                worker.start(record.job_id, record.scenario, bundle,
+                             circuit=record.circuit_name, seq=seq,
+                             timeout_s=record.timeout_s, fault=record.fault)
             except Exception as exc:
                 with self.obs.hold(seq):
                     self.queue.finish_attempt(
@@ -625,12 +624,13 @@ class AnalysisService:
                 with self.obs.hold(worker.seq):
                     self.store.save_result(record.circuit_fp,
                                            record.scenario_key,
-                                           payload["numbers"])
+                                           payload["result"])
                     self.queue.complete(job_id)
                 self.obs.adopt(spans=payload.get("spans"),
                                metrics=payload.get("metrics"),
                                cache_stats=payload.get("cache_stats"),
-                               attributes={"job": job_id},
+                               attributes={"job": job_id,
+                                           "pid": payload["pid"]},
                                seq=worker.seq)
             else:
                 self.obs.count(f"serve.attempts_{kind}")

@@ -1,20 +1,25 @@
 """Warm worker tier: long-lived processes that keep hydrated circuits.
 
-Served jobs run on a pool of at most ``--workers`` :class:`Worker`
-processes.  The scheduler starts one, from the ``spawn`` start method
-(never by forking the threaded server), only when a claimed job finds
-no idle worker; an idle or cache-only server runs none.  A worker then
-serves jobs one at a time over a duplex pipe until the server closes
-the pipe or the worker dies.
+One substrate runs every analysis that leaves the calling process.  A
+served job and a sweep row are both one job message that
+:func:`serve_job` answers on a :class:`Worker`: the message carries
+its *query* (an :class:`~repro.serve.protocol.AgeScenario`, a
+:class:`~repro.flow.parallel.CoOptimizationJob` or a
+:class:`~repro.flow.parallel.PotentialSweepJob`), and the worker calls
+the query's ``compute(context)`` on the hydrated circuit.  The
+service's scheduler keeps at most ``--workers`` workers, started from
+``spawn`` (never by forking the threaded server) only when a claimed
+job finds no idle one; :func:`run_jobs`, the sweep runner, starts
+them from the platform's default start method and stops them when the
+sweep ends.  A worker serves jobs one at a time over a duplex pipe
+until the pipe closes or the worker dies.
 
 Warm state, bounded:
 
-* the parent lowers each distinct circuit **once**
-  (:class:`BundleCache`, served from / persisted to the
-  content-addressed store) and ships the compiled
-  :class:`~repro.artifacts.bundle.ArtifactBundle` only the first time
-  a worker serves that bundle key; it prefers an idle worker that
-  already holds the job's circuit;
+* the parent lowers each distinct circuit **once** and ships the
+  compiled :class:`~repro.artifacts.bundle.ArtifactBundle` only the
+  first time a worker serves that bundle key; jobs go to an idle
+  worker that already holds their circuit when there is one;
 * the worker keeps the *hydrated* contexts, not the shipped bundles
   (:class:`WarmCircuits`): least recently used out first once they
   hold more than :data:`WARM_GATE_BUDGET` gates;
@@ -22,27 +27,27 @@ Warm state, bounded:
   per-query entries (gate shifts, shift vectors, standby states) never
   outlive their job.
 
-Fault isolation stays per attempt: every attempt runs in a process the
-parent can SIGKILL.  A worker that crashes, passes its job's deadline
-or is killed on drain costs that job one attempt and is replaced on
-demand; an analysis exception fails the attempt and the worker keeps
-serving.
+Fault isolation stays per attempt: every job runs in a process the
+parent can SIGKILL.  A served job whose worker crashes, passes its
+deadline or is killed on drain costs that job one attempt and the
+worker is replaced on demand; an analysis exception fails the attempt
+and the worker keeps serving.  A sweep stops at its first failed row.
 
 Each job runs under fresh observability state and ships its spans,
-metric snapshot, and cache stats back with its numbers, so the
-service's ``/metrics`` RunReport shows worker-side kernel activity,
-merged in claim order.
+metric snapshot, and cache stats back with its result, so ``/metrics``
+and a sweep's RunReport show worker-side kernel activity.
 
 Pipe protocol (pickled dicts):
 
 * worker -> parent, once after boot: ``{"ready": pid}``; the parent
   holds a booting worker's first job until then;
 * parent -> worker, per job: ``{"job", "circuit", "key", "bundle",
-  "scenario", "fault"}``, ``bundle`` being ``None`` when the worker
+  "query", "fault"}``, ``bundle`` being ``None`` when the worker
   already holds ``key``;
-* worker -> parent, per job: ``{"ok": True, "numbers", "spans",
-  "metrics", "cache_stats", "held"}`` or ``{"ok": False, "error",
-  "held"}``; ``held`` lists the bundle keys the worker now keeps;
+* worker -> parent, per job: ``{"ok": True, "result", "spans",
+  "metrics", "cache_stats", "held", "pid"}`` or ``{"ok": False,
+  "error", "held", "pid"}``; ``held`` lists the bundle keys the worker
+  now keeps;
 * no reply + dead process: the parent synthesizes a
   ``worker-crashed`` error from the exit code.
 
@@ -55,6 +60,7 @@ without a reply (a crash), ``{"raise": msg}`` raises inside the job.
 
 from __future__ import annotations
 
+import logging
 import multiprocessing
 import os
 import pickle
@@ -63,31 +69,18 @@ import threading
 import time
 from collections import OrderedDict
 from contextlib import contextmanager
+from multiprocessing import connection
 from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro import obs
-from repro.serve.protocol import AgeScenario, JobRecord, structured_error
+from repro.serve.protocol import structured_error
+
+logger = logging.getLogger(__name__)
 
 #: Gates of hydrated circuits one worker keeps between jobs; past it
 #: the least recently used circuits go.  The ten ISCAS85 stand-ins
 #: take 12,708 gates together.
 WARM_GATE_BUDGET = 20_000
-
-
-def run_age_analysis(context: Any, scenario: AgeScenario) -> Dict[str, Any]:
-    """The job payload: aged-delay numbers for one (circuit, scenario).
-
-    Runs the same summary-path analysis as ``repro age`` on a hydrated
-    context, so the persisted numbers are float-for-float identical to
-    the CLI's — the cache-equivalence acceptance test depends on this.
-    """
-    from repro.sta import ALL_ONE, ALL_ZERO
-
-    obs.gauge("serve.worker.gates", context.circuit.n_gates())
-    standby = {"worst": ALL_ZERO, "best": ALL_ONE}[scenario.standby]
-    return context.aged_delays(scenario.profile(),
-                               scenario.lifetime_seconds(),
-                               standby=standby).numbers()
 
 
 class WarmCircuits:
@@ -161,22 +154,26 @@ def _apply_fault(fault: Optional[Dict[str, Any]]) -> None:
 def serve_job(warm: WarmCircuits, job: Dict[str, Any]) -> Dict[str, Any]:
     """Run one job message on ``warm``: the worker's reply.
 
-    The worker's whole per-job step, callable in-process.  An exception
+    The one step of a served job or a sweep row, callable in-process:
+    the job's query computes on the hydrated circuit.  An exception
     becomes a structured ``analysis-error`` reply; either way ``held``
-    reports the bundle keys kept afterwards.
+    reports the bundle keys kept afterwards, ``pid`` the process.
     """
     try:
         _apply_fault(job.get("fault"))
+        query = job["query"]
         tracer = obs.Tracer()
         registry = obs.MetricsRegistry()
         captured: List[Dict[str, Any]] = []
         with obs.use_tracer(tracer), obs.use_metrics(registry), \
                 obs.cache_scope(captured):
-            with obs.span("serve.worker.age", circuit=job["circuit"],
-                          pid=os.getpid()):
+            with obs.span(f"serve.worker.{query.kind}",
+                          circuit=job["circuit"]):
                 with warm.checkout(job["key"], job.get("bundle")) as context:
-                    numbers = run_age_analysis(context, job["scenario"])
-        reply = {"ok": True, "numbers": numbers,
+                    obs.gauge("serve.worker.gates",
+                              context.circuit.n_gates())
+                    result = query.compute(context)
+        reply = {"ok": True, "result": result,
                  "spans": tracer.span_dicts(),
                  "metrics": registry.snapshot(),
                  "cache_stats": captured}
@@ -185,13 +182,17 @@ def serve_job(warm: WarmCircuits, job: Dict[str, Any]) -> Dict[str, Any]:
             "analysis-error", str(exc) or exc.__class__.__name__,
             exception=exc.__class__.__name__)}
     reply["held"] = warm.keys()
+    reply["pid"] = os.getpid()
     return reply
 
 
-def _worker_main(conn) -> None:
+def _worker_main(conn, parent_conn) -> None:
     """Worker-process entry point: announce, then serve jobs until the
     parent closes the pipe."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the server drains us
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops us
+    # A forked child starts with a copy of the parent's end; holding it
+    # would keep the parent's close from ever reaching us as EOF.
+    parent_conn.close()
     warm = WarmCircuits()
     try:
         conn.send({"ready": os.getpid()})
@@ -216,19 +217,19 @@ def _crash_error(code: Optional[int]) -> Dict[str, Any]:
 
 
 class Worker:
-    """One long-lived worker process, as the scheduler sees it.
+    """One long-lived worker process, started by ``mp_context``.
 
-    ``job_id`` names the running attempt's job (``None`` while idle);
-    ``seq``, ``started`` and ``deadline`` describe the latest attempt;
-    ``held`` is the set of bundle keys the worker last reported.  The
-    scheduler waits on :attr:`conn` and :attr:`sentinel`.
+    ``job_id`` names the running job (``None`` while idle); ``seq``,
+    ``started`` and ``deadline`` describe the latest attempt; ``held``
+    is the set of bundle keys the worker last reported.  Callers wait
+    on :attr:`conn` and :attr:`sentinel`.
     """
 
-    def __init__(self) -> None:
-        ctx = multiprocessing.get_context("spawn")
-        self.conn, child_conn = ctx.Pipe()
-        self._process = ctx.Process(target=_worker_main, args=(child_conn,),
-                                    name="repro-serve-worker", daemon=True)
+    def __init__(self, mp_context: Any) -> None:
+        self.conn, child_conn = mp_context.Pipe()
+        self._process = mp_context.Process(
+            target=_worker_main, args=(child_conn, self.conn),
+            name="repro-worker", daemon=True)
         self._process.start()
         child_conn.close()  # the child owns its end now
         self.held: FrozenSet[str] = frozenset()
@@ -255,8 +256,11 @@ class Worker:
         """Whether the worker process is still running."""
         return self._process.is_alive()
 
-    def start(self, record: JobRecord, bundle: Any, seq: int) -> None:
-        """Run one claimed job; the bundle ships only if not held.
+    def start(self, job_id: Any, query: Any, bundle: Any, *, circuit: str,
+              seq: Optional[int] = None, timeout_s: float = float("inf"),
+              fault: Optional[Dict[str, Any]] = None) -> None:
+        """Run ``query`` on ``bundle``'s circuit as job ``job_id``; the
+        bundle ships only if not held.
 
         The deadline runs from delivery; a booting worker's job is
         delivered once the worker reports ready, and its boot counts
@@ -264,12 +268,12 @@ class Worker:
         """
         key = bundle.bundle_key
         self._pending = pickle.dumps({
-            "job": record.job_id, "circuit": record.circuit_name,
-            "key": key, "bundle": None if key in self.held else bundle,
-            "scenario": record.scenario, "fault": record.fault},
+            "job": job_id, "circuit": circuit, "key": key,
+            "bundle": None if key in self.held else bundle,
+            "query": query, "fault": fault},
             protocol=pickle.HIGHEST_PROTOCOL)
-        self.job_id, self.seq = record.job_id, seq
-        self._timeout_s = record.timeout_s
+        self.job_id, self.seq = job_id, seq
+        self._timeout_s = timeout_s
         self.started = time.monotonic()
         self.deadline = self.started + self._timeout_s
         if self._booted:
@@ -334,6 +338,109 @@ class Worker:
         self._process.join(timeout=1.0)
         self.kill()
         self._process.close()
+
+
+class JobError(RuntimeError):
+    """A sweep row whose query raised or whose worker died: the message
+    names its circuit, exception type (``worker-crashed`` for a dead
+    worker) and message; :attr:`error` is the structured error."""
+
+    def __init__(self, circuit: str, error: Dict[str, Any]) -> None:
+        self.circuit, self.error = circuit, error
+        super().__init__(f"{circuit}: {error.get('exception', error['type'])}"
+                         f": {error['message']}")
+
+
+def run_jobs(jobs: List[Tuple[Any, Any]],
+             max_workers: Optional[int] = None) -> Iterator[Any]:
+    """Run ``(bundle, query)`` sweep rows; yield each result in job order.
+
+    Each row is one :func:`serve_job` call, on up to ``max_workers``
+    :class:`Worker` processes, one per row at most (``None``:
+    ``min(len(jobs), cpu_count)``), forked where the platform forks; or
+    in-process at ``1`` or where no worker starts.  A failed row raises :class:`JobError` as soon as its reply
+    arrives, after the finished rows before it; no worker outlives the
+    generator.  With collection active, replies merge in job order
+    under one ``flow.run_sweep`` span, tagged with the job index and,
+    from another process, the pid.
+    """
+    if not jobs:
+        return
+    if max_workers is None:
+        max_workers = min(len(jobs), os.cpu_count() or 1)
+    pool: List[Worker] = []
+    try:
+        try:
+            while max_workers > 1 and len(pool) < min(max_workers,
+                                                      len(jobs)):
+                pool.append(Worker(multiprocessing.get_context()))
+        except (OSError, ImportError, NotImplementedError) as exc:
+            logger.warning("run_jobs: %d worker(s) started (%s)",
+                           len(pool), exc)
+        warm = WarmCircuits()
+        replies = _pooled_replies(pool, jobs) if pool else (
+            (i, serve_job(warm, {"job": i, "circuit": query.circuit,
+                                 "key": bundle.bundle_key, "bundle": bundle,
+                                 "query": query}))
+            for i, (bundle, query) in enumerate(jobs))
+        observed = obs.tracing_enabled()
+        with obs.span("flow.run_sweep", jobs=len(jobs), pooled=bool(pool),
+                      **({"max_workers": max_workers} if pool else {})):
+            for index, reply in replies:
+                if not reply["ok"]:
+                    raise JobError(jobs[index][1].circuit, reply["error"])
+                if observed:  # a pid only from another process
+                    pid = reply["pid"]
+                    obs.get_tracer().adopt(
+                        reply["spans"], worker=index,
+                        **({"pid": pid} if pid != os.getpid() else {}))
+                    obs.get_metrics().merge(reply["metrics"])
+                    for entry in reply["cache_stats"]:
+                        obs.register_cache_snapshot(entry)
+                yield reply["result"]
+    finally:
+        # Newest first: a forked worker holds copies of the pipe ends
+        # of the workers started before it, so an older worker reads
+        # EOF only once every newer one has exited.
+        for worker in reversed(pool):
+            if worker.job_id is not None:
+                worker.kill()
+            worker.close()
+
+
+def _pooled_replies(pool: List[Worker], jobs: List[Tuple[Any, Any]]
+                    ) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """``(index, reply)`` of each job run on ``pool``, in job order; a
+    failed reply as soon as it arrives."""
+    replies: Dict[int, Dict[str, Any]] = {}
+    started = done = 0
+    while done < len(jobs):
+        while started < len(jobs):
+            bundle, query = jobs[started]
+            worker = idle_worker(pool, bundle.bundle_key)
+            if worker is None:
+                break
+            worker.start(started, query, bundle, circuit=query.circuit)
+            started += 1
+        busy = [w for w in pool if w.job_id is not None]
+        connection.wait([w.conn for w in busy] + [w.sentinel for w in busy])
+        for worker in busy:
+            index, outcome = worker.job_id, worker.outcome()
+            if outcome is not None:
+                replies[index] = outcome[1] if outcome[0] == "ok" else \
+                    {"ok": False, "error": outcome[1]}
+        while done in replies:
+            yield done, replies.pop(done)
+            done += 1
+        yield from ((i, r) for i, r in sorted(replies.items()) if not r["ok"])
+
+
+def idle_worker(pool: List[Worker], key: str) -> Optional[Worker]:
+    """An idle worker of ``pool``, one that holds bundle ``key`` when
+    there is one; ``None`` when every worker is busy."""
+    idle = [w for w in pool if w.job_id is None]
+    return next((w for w in idle if key in w.held),
+                idle[0] if idle else None)
 
 
 class BundleCache:

@@ -8,7 +8,6 @@ import random
 import subprocess
 import sys
 import unittest
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +31,7 @@ from repro.core.profiles import OperatingProfile
 from repro.flow.parallel import (
     CoOptimizationJob,
     PotentialSweepJob,
-    co_optimize_circuit,
     load_circuit,
-    potential_sweep_circuit,
     run_co_optimization_sweep,
     run_potential_sweep,
 )
@@ -456,8 +453,8 @@ class TestBundledSweeps(unittest.TestCase):
                                 max_set_size=3, seed=1)
         bundle = ArtifactBundle.snapshot(
             AnalysisContext(load_circuit("c17")))
-        shipped = co_optimize_circuit(replace(job, bundle=bundle))
-        rebuilt = co_optimize_circuit(job)
+        shipped = job.compute(bundle.hydrate())
+        rebuilt = job.compute(AnalysisContext(load_circuit("c17")))
         self.assertEqual(shipped, rebuilt)
 
     def test_pooled_bundled_equals_serial_bundled(self):
@@ -469,22 +466,25 @@ class TestBundledSweeps(unittest.TestCase):
         self.assertEqual(serial, pooled)
 
     def test_direct_worker_without_bundle_matches(self):
+        # A rebuilt circuit gives the sweep's row, also on a warm
+        # circuit the serial path reuses for a repeated name.
         job = CoOptimizationJob(circuit="c17", profile=PROFILE,
                                 lifetime=TEN_YEARS, n_vectors=8,
                                 max_set_size=3, seed=1)
-        direct = co_optimize_circuit(job)
-        [row] = run_co_optimization_sweep(["c17"], PROFILE, TEN_YEARS,
-                                          n_vectors=8, max_set_size=3,
-                                          seed=1, max_workers=1)
-        self.assertEqual(direct, row)
+        direct = job.compute(AnalysisContext(load_circuit("c17")))
+        rows = run_co_optimization_sweep(["c17", "c17"], PROFILE,
+                                         TEN_YEARS, n_vectors=8,
+                                         max_set_size=3, seed=1,
+                                         max_workers=1)
+        self.assertEqual(rows, [direct, direct])
 
     def test_bundled_equals_rebuilt_potential_sweep(self):
         job = PotentialSweepJob(circuit="c17",
                                 t_standby_values=(330.0, 400.0))
         bundle = ArtifactBundle.snapshot(
             AnalysisContext(load_circuit("c17")))
-        shipped = potential_sweep_circuit(replace(job, bundle=bundle))
-        rebuilt = potential_sweep_circuit(job)
+        shipped = job.compute(bundle.hydrate())
+        rebuilt = job.compute(AnalysisContext(load_circuit("c17")))
         self.assertEqual(shipped, rebuilt)
         self.assertEqual(run_potential_sweep(["c17"], (330.0, 400.0),
                                              max_workers=1)["c17"],

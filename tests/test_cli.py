@@ -94,6 +94,24 @@ class TestBadInput:
         assert message in proc.stderr
         assert not (tmp_path / "s").exists()  # nothing lowered or stored
 
+    @pytest.mark.parametrize("command", ["age", "info", "sweep"])
+    def test_combinational_cycle(self, tmp_path, command):
+        (tmp_path / "loop.bench").write_text(
+            "INPUT(a)\nOUTPUT(y)\ny = AND(a, y)\n")
+        proc = _run_cli(command, "loop.bench", cwd=tmp_path)
+        self.assert_one_line_error(proc)
+        assert "structural error: combinational cycle" in proc.stderr
+
+    def test_age_checks_flags_before_the_store(self, tmp_path):
+        (tmp_path / "copy.bench").write_text(
+            "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n")
+        proc = _run_cli("age", "copy.bench", "--store", "S", "--years", "-1",
+                        cwd=tmp_path)
+        self.assert_one_line_error(proc)
+        assert proc.stderr == ("error: --years must be a finite number "
+                               ">= 0, got -1\n")
+        assert not (tmp_path / "S").exists()
+
     def test_bench_without_output(self, tmp_path):
         (tmp_path / "empty.bench").write_text("")
         proc = _run_cli("age", "empty.bench", cwd=tmp_path)
@@ -153,6 +171,24 @@ class TestCommands:
         assert main(["guardband", "--t-standby", "400"]) == 0
         out = capsys.readouterr().out
         assert "delay margin" in out
+
+    def test_guardband_header_is_exact(self, capsys):
+        assert main(["guardband", "--ras", "1:300", "--t-active",
+                     "400.4"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == \
+            "scenario: RAS 1:300, 400.4 K / 330 K, Vth0 0.22 V"
+
+    def test_age_header_is_exact(self, capsys):
+        headers = []
+        for ras in ("1:200", "1:300"):
+            assert main(["age", "c17", "--ras", ras, "--t-active",
+                         "400.4", "--years", "2.5"]) == 0
+            headers.append(capsys.readouterr().out.splitlines()[1])
+        assert headers == [
+            "scenario       : RAS 1:200, 400.4 K / 330 K, 2.5 years, "
+            "worst-case standby",
+            "scenario       : RAS 1:300, 400.4 K / 330 K, 2.5 years, "
+            "worst-case standby"]
 
     def test_table1(self, capsys):
         assert main(["table1"]) == 0
@@ -448,17 +484,26 @@ class TestSweepStoreCli:
         assert full.out == reference
 
     def test_ras_labels_do_not_alias(self, tmp_path, capsys):
-        # RAS 1:200 and 1:300 print the same lossy label, 0.00:1.00;
-        # their rows are still distinct records.
+        # RAS 1:200 and 1:300 rows are distinct records, keyed by the
+        # exact profile fields, and their titles differ.
         store = ["--store", str(tmp_path / "store")]
         reference = self._sweep(capsys, ["c17", "--ras", "1:300"]
                                 + self.ARGS).out
-        self._sweep(capsys, ["c17", "--ras", "1:200"] + self.ARGS + store)
+        other = self._sweep(capsys, ["c17", "--ras", "1:200"] + self.ARGS
+                            + store)
         again = self._sweep(capsys, ["c17", "--ras", "1:300"]
                             + self.ARGS + store)
         assert "result hits=0 misses=1" in again.err
         assert again.out == reference
         assert len(list((tmp_path / "store").glob("results/*/*.json"))) == 2
+        assert other.out.splitlines()[0] != reference.splitlines()[0]
+
+    def test_title_is_exact(self, capsys):
+        out = self._sweep(capsys, ["c17", "--ras", "1:300", "--t-active",
+                                   "400.4", "--years", "2.5"]
+                          + self.ARGS).out
+        assert out.splitlines()[0] == ("co-optimization sweep (RAS 1:300, "
+                                       "400.4 K / 330 K, 2.5 years)")
 
     def test_same_content_paths_print_their_own_names(self, tmp_path,
                                                       capsys):
@@ -551,6 +596,44 @@ class TestOneLoweringPerCommand:
         metrics = json.loads(report.read_text())["metrics"]
         for name in ("sta.compiled.lowerings", "aging.plan.lowerings"):
             assert sum(metrics[name]["values"].values()) == 1, name
+
+    def test_age_orders_a_bench_file_once(self, tmp_path, capsys,
+                                          monkeypatch):
+        # The parse checks for cycles by ordering the gates; the
+        # analysis reuses that order.
+        from repro.netlist import save_bench
+        from repro.netlist.circuit import Circuit
+        from repro.netlist.generators import scale_circuit
+
+        path = tmp_path / "g.bench"
+        save_bench(scale_circuit(500, seed=1), path)
+        computed = []
+        real = Circuit.topological_order
+
+        def counted(circuit):
+            if circuit._topo_cache is None:
+                computed.append(circuit.name)
+            return real(circuit)
+
+        monkeypatch.setattr(Circuit, "topological_order", counted)
+        assert main(["age", str(path)]) == 0
+        capsys.readouterr()
+        assert computed == ["g"]
+
+
+def test_cli_import_leaves_out_the_service_and_process_pools():
+    # A command pays for the worker tier and the HTTP service only when
+    # it uses them.
+    code = ("import sys, repro.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.serve') "
+            "or m == 'concurrent.futures.process'))")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestObservabilityFlags:

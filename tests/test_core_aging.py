@@ -100,8 +100,26 @@ class TestOperatingProfile:
         assert OperatingProfile.from_ras("1:1").active_fraction == pytest.approx(0.5)
 
     def test_ras_label_roundtrip(self):
-        for ras in ("1:9", "1:5", "1:1", "5:1", "9:1"):
+        for ras in ("1:9", "1:5", "1:3", "1:1", "3:1", "5:1", "9:1",
+                    "1:200", "1:300"):
             assert OperatingProfile.from_ras(ras).ras_label() == ras
+        assert OperatingProfile.from_ras("2:18").ras_label() == "1:9"
+        # No small integer ratio gives this fraction back exactly: the
+        # label holds the two fractions, exact.
+        profile = OperatingProfile.from_ras("1:3.3333")
+        active, standby = profile.ras_label().split(":")
+        assert float(active) == profile.active_fraction
+        assert float(standby) == profile.standby_fraction
+
+    def test_header_prints_every_value_exactly(self):
+        profile = OperatingProfile.from_ras("1:9", t_active=400.0,
+                                            t_standby=330.0)
+        assert profile.header() == "RAS 1:9, 400 K / 330 K"
+        assert profile.header(10.0) == "RAS 1:9, 400 K / 330 K, 10 years"
+        profile = OperatingProfile.from_ras("1:300", t_active=400.4,
+                                            t_standby=330.0)
+        assert profile.header(2.5) == \
+            "RAS 1:300, 400.4 K / 330 K, 2.5 years"
 
     def test_bad_ras(self):
         with pytest.raises(ValueError):

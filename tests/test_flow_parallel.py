@@ -1,81 +1,235 @@
-"""Process-parallel sweep runner (repro.flow.parallel).
+"""Sweeps on the worker tier (repro.flow.parallel, repro.serve.workers).
 
 The sweep runner's contract: results in job order, serial and pooled
-execution produce identical values, pool-infrastructure failures
-degrade to the serial loop, and worker *logic* errors propagate.
+execution produce identical values, a platform where no worker starts
+runs the jobs in-process, and a failed job stops the sweep at once
+with an error naming its circuit, leaving no worker behind.
 """
 
-import concurrent.futures
+import functools
 import json
+import multiprocessing
 import os
+import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.artifacts import ArtifactStore
+from repro.artifacts.bundle import ArtifactBundle
 from repro.constants import TEN_YEARS
+from repro.context import AnalysisContext
 from repro.core import OperatingProfile
 from repro.flow.parallel import (
     CoOptimizationJob,
     _decode_row,
     _encode_row,
-    co_optimize_circuit,
     load_circuit,
     run_co_optimization_sweep,
     run_potential_sweep,
-    run_sweep,
 )
+from repro.serve import workers
+from repro.serve.workers import JobError, run_jobs
 
 PROFILE = OperatingProfile.from_ras("1:5", t_standby=330.0)
 
+#: The test process; a forked worker inherits this value, so a query
+#: can tell whether it runs in a worker.
+_PARENT_PID = os.getpid()
 
-# Workers must live at module level so the process pool can pickle them.
-def _square(x):
-    return x * x
+
+# Test queries: module-level frozen dataclasses, so they pickle by
+# reference into the workers.
+@dataclass(frozen=True)
+class _Square:
+    x: int
+    circuit: str = "c17"
+    kind = "test"
+
+    def compute(self, context):
+        return self.x * self.x
 
 
-def _maybe_fail(x):
-    if x == 3:
-        raise KeyError("job 3 is poisoned")
-    return -x
+@dataclass(frozen=True)
+class _MaybeFail:
+    x: int
+    circuit: str = "c17"
+    kind = "test"
+
+    def compute(self, context):
+        if self.x == 3:
+            raise KeyError("job 3 is poisoned")
+        return -self.x
+
+
+@dataclass(frozen=True)
+class _Sleep:
+    seconds: float
+    circuit: str = "c17"
+    kind = "test"
+
+    def compute(self, context):
+        time.sleep(self.seconds)
+        return self.seconds
+
+
+@dataclass(frozen=True)
+class _Raise:
+    delay: float = 0.0
+    circuit: str = "c17"
+    kind = "test"
+
+    def compute(self, context):
+        time.sleep(self.delay)
+        raise ValueError("row failed")
+
+
+@dataclass(frozen=True)
+class _KillWorker:
+    circuit: str = "c17"
+    kind = "test"
+
+    def compute(self, context):
+        if os.getpid() == _PARENT_PID:  # never kill the test process
+            raise RuntimeError("expected to run in a worker")
+        os.kill(os.getpid(), 9)
+
+
+@dataclass(frozen=True)
+class _TracedNegate:
+    x: int
+    circuit: str = "c17"
+    kind = "test"
+
+    def compute(self, context):
+        with obs.span("worker.compute", job=self.x):
+            obs.count("worker.calls")
+            obs.observe("worker.input", self.x)
+        return -self.x
+
+
+@dataclass(frozen=True)
+class _ContextProbe:
+    circuit: str = "c17"
+    kind = "test"
+
+    def compute(self, context):
+        context.probabilities()
+        context.probabilities()
+        return context.fresh_delay()
+
+
+@dataclass(frozen=True)
+class _TracedGauge:
+    x: int
+    circuit: str = "c17"
+    kind = "test"
+
+    def compute(self, context):
+        obs.gauge("worker.last_job", self.x)
+        obs.count("worker.calls")
+        return self.x
+
+
+@functools.lru_cache(maxsize=None)
+def _bundle(name):
+    return ArtifactBundle.snapshot(AnalysisContext(load_circuit(name)))
+
+
+def _jobs(queries):
+    return [(_bundle(q.circuit), q) for q in queries]
+
+
+def _results(queries, max_workers):
+    return list(run_jobs(_jobs(queries), max_workers))
+
+
+@pytest.fixture(autouse=True)
+def _no_worker_left():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 class TestRunSweep:
     def test_empty_jobs(self):
-        assert run_sweep(_square, []) == []
-        assert run_sweep(_square, [], max_workers=4) == []
+        assert list(run_jobs([])) == []
+        assert list(run_jobs([], max_workers=4)) == []
 
     def test_serial_preserves_order(self):
-        assert run_sweep(_square, range(6), max_workers=1) == \
+        assert _results([_Square(x) for x in range(6)], 1) == \
             [0, 1, 4, 9, 16, 25]
 
     def test_pool_preserves_order(self):
-        assert run_sweep(_square, range(6), max_workers=2) == \
+        assert _results([_Square(x) for x in range(6)], 2) == \
             [0, 1, 4, 9, 16, 25]
 
     def test_worker_error_propagates_serially(self):
-        with pytest.raises(KeyError, match="poisoned"):
-            run_sweep(_maybe_fail, [1, 2, 3], max_workers=1)
+        with pytest.raises(JobError, match="c17: KeyError: .*poisoned"):
+            _results([_MaybeFail(x) for x in (1, 2, 3)], 1)
 
     def test_worker_error_propagates_from_pool(self):
-        with pytest.raises(KeyError, match="poisoned"):
-            run_sweep(_maybe_fail, [1, 2, 3], max_workers=2)
+        with pytest.raises(JobError, match="c17: KeyError: .*poisoned") \
+                as exc:
+            _results([_MaybeFail(x) for x in (1, 2, 3)], 2)
+        assert exc.value.circuit == "c17"
+        assert exc.value.error["type"] == "analysis-error"
+        assert exc.value.error["exception"] == "KeyError"
 
     def test_broken_pool_falls_back_to_serial(self, monkeypatch):
-        class NoPool:
+        class NoProcess:
             def __init__(self, *a, **k):
                 raise OSError("no process support here")
 
-        monkeypatch.setattr("repro.flow.parallel.ProcessPoolExecutor",
-                            NoPool)
-        assert run_sweep(_square, range(4), max_workers=2) == [0, 1, 4, 9]
+        monkeypatch.setattr(workers, "Worker", NoProcess)
+        tracer = obs.Tracer()
+        with obs.use_tracer(tracer):
+            assert _results([_Square(x) for x in range(4)], 2) == \
+                [0, 1, 4, 9]
+        assert tracer.roots[0].attributes["pooled"] is False
 
-    def test_unpicklable_job_falls_back_to_serial(self):
-        # A lambda job can't cross the process boundary; the runner
-        # degrades to the serial loop instead of crashing.
-        jobs = [lambda: 7]
-        assert run_sweep(lambda f: f(), jobs, max_workers=2) == [7]
+
+class TestFailFast:
+    """A failed row stops the sweep at once; no worker outlives it."""
+
+    def test_failure_does_not_wait_for_other_rows(self):
+        queries = [_Square(0), _Raise(), _Sleep(2.0), _Sleep(2.0)]
+        t0 = time.perf_counter()
+        with pytest.raises(JobError, match="ValueError: row failed"):
+            _results(queries, 2)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_rows_before_the_failure_are_yielded(self):
+        # Rows that finished before the failure reach the caller (a
+        # sweep saves them); a row still running is killed.
+        got = []
+        with pytest.raises(JobError):
+            for result in run_jobs(_jobs([_Square(2), _Square(3),
+                                          _Raise(delay=0.5)]), 2):
+                got.append(result)
+        assert got == [4, 9]
+
+    def test_killed_worker_fails_the_sweep(self):
+        with pytest.raises(JobError, match="c17: worker-crashed: .*signal 9") \
+                as exc:
+            _results([_Square(1), _KillWorker(), _Square(2)], 2)
+        assert exc.value.error["type"] == "worker-crashed"
+
+    def test_interrupt_leaves_no_worker(self, monkeypatch):
+        # Ctrl-C while the runner waits on its workers.
+        real_wait = workers.connection.wait
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise KeyboardInterrupt
+            return real_wait(*args, **kwargs)
+
+        monkeypatch.setattr(workers.connection, "wait", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _results([_Sleep(0.0), _Sleep(0.0)], 2)
 
 
 class TestLoadCircuit:
@@ -114,7 +268,7 @@ class TestCoOptimizationSweep:
         job = CoOptimizationJob(circuit="c17", profile=PROFILE,
                                 lifetime=TEN_YEARS, n_vectors=16,
                                 max_set_size=4, seed=3)
-        row = co_optimize_circuit(job)
+        row = job.compute(AnalysisContext(load_circuit("c17")))
         [sweep_row] = run_co_optimization_sweep(
             ("c17",), PROFILE, TEN_YEARS, n_vectors=16, max_set_size=4,
             seed=3, max_workers=1)
@@ -133,11 +287,26 @@ _TINY_BENCH = {
 }
 
 
-def _raise_on_poisoned(job):
-    """A co-optimization worker that fails on the ``poisoned`` circuit."""
-    if Path(job.circuit).stem == "poisoned":
-        raise RuntimeError("worker failed at job k")
-    return co_optimize_circuit(job)
+@dataclass(frozen=True)
+class _RaiseOnPoisoned(CoOptimizationJob):
+    """A co-optimization row that fails on the ``poisoned`` circuit."""
+
+    def compute(self, context):
+        if Path(self.circuit).stem == "poisoned":
+            raise RuntimeError("worker failed at job k")
+        return super().compute(context)
+
+
+@dataclass(frozen=True)
+class _KillOnPoisoned(CoOptimizationJob):
+    """A co-optimization row whose worker dies on the ``poisoned``
+    circuit, once the rows before it are done."""
+
+    def compute(self, context):
+        if Path(self.circuit).stem == "poisoned":
+            time.sleep(0.5)
+            _KillWorker().compute(context)
+        return super().compute(context)
 
 
 class TestSweepRowRecords:
@@ -169,9 +338,13 @@ class TestSweepRowRecords:
                                           max_workers=1, **self.KW)
         store = ArtifactStore(tmp_path / "store")
         with monkeypatch.context() as patch:
-            patch.setattr("repro.flow.parallel.co_optimize_circuit",
-                          _raise_on_poisoned)
-            with pytest.raises(RuntimeError, match="job k"):
+            # The jobs are built in this process and pickled by
+            # reference, so the patch reaches the workers under any
+            # start method.
+            patch.setattr("repro.flow.parallel.CoOptimizationJob",
+                          _RaiseOnPoisoned)
+            with pytest.raises(RuntimeError, match="poisoned.bench: "
+                               "RuntimeError: worker failed at job k"):
                 run_co_optimization_sweep(circuits, PROFILE, TEN_YEARS,
                                           max_workers=workers, store=store,
                                           **self.KW)
@@ -187,6 +360,24 @@ class TestSweepRowRecords:
         assert store.stats.hits("result") == 2
         assert store.stats.misses("result") == 2
         assert len(self._records(store)) == 4
+
+    def test_killed_worker_keeps_rows_before_it(self, tmp_path, circuits,
+                                                monkeypatch):
+        store = ArtifactStore(tmp_path / "store")
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.flow.parallel.CoOptimizationJob",
+                          _KillOnPoisoned)
+            with pytest.raises(JobError, match="poisoned.bench: "
+                               "worker-crashed: worker killed by signal 9"):
+                run_co_optimization_sweep(circuits, PROFILE, TEN_YEARS,
+                                          max_workers=2, store=store,
+                                          **self.KW)
+        assert len(self._records(store)) == 2
+        store = ArtifactStore(tmp_path / "store")
+        run_co_optimization_sweep(circuits, PROFILE, TEN_YEARS,
+                                  max_workers=2, store=store, **self.KW)
+        assert store.stats.hits("result") == 2
+        assert store.stats.misses("result") == 2
 
     @pytest.mark.parametrize("damage", ["empty", "truncated",
                                         "empty-object", "wrong-type"])
@@ -235,27 +426,10 @@ class TestPotentialSweep:
 # -- observability: pooled and serial sweeps must merge identically ----------
 
 
-# Instrumented workers, module-level so the pool can pickle them.
-def _traced_negate(x):
-    with obs.span("worker.compute", job=x):
-        obs.count("worker.calls")
-        obs.observe("worker.input", x)
-    return -x
-
-
-def _context_probe(name):
-    from repro.context import AnalysisContext
-
-    ctx = AnalysisContext(load_circuit(name))
-    ctx.probabilities()
-    ctx.probabilities()
-    return ctx.fresh_delay()
-
-
-def _traced_gauge(x):
-    obs.gauge("worker.last_job", x)
-    obs.count("worker.calls")
-    return x
+#: One circuit per job: a worker hydrates a circuit on its first job
+#: only, so with repeated circuits the hydration spans and counts
+#: depend on which worker ran which job (pinned separately below).
+_CIRCUITS = ("c17", "c432", "c499", "c880")
 
 
 class TestObservedSweep:
@@ -263,14 +437,25 @@ class TestObservedSweep:
     the same span structure, metric totals, and merged cache stats —
     payloads fold back in job order, not completion order."""
 
-    def _run(self, worker, jobs, max_workers):
+    def _run(self, queries, max_workers):
+        jobs = _jobs(queries)  # the bundles are built untraced
         tracer = obs.Tracer()
         registry = obs.MetricsRegistry()
         captured = []
         with obs.use_tracer(tracer), obs.use_metrics(registry), \
                 obs.cache_scope(captured):
-            results = run_sweep(worker, jobs, max_workers=max_workers)
+            results = list(run_jobs(jobs, max_workers))
         return results, tracer, registry.snapshot(), captured
+
+    @staticmethod
+    def _totals(metrics):
+        # Timing histograms keep only their counts: the values are
+        # wall-clock measurements (the hydration's, for one).
+        return obs.canonicalize_report({"metrics": metrics})["metrics"]
+
+    @staticmethod
+    def _negations(n=4):
+        return [_TracedNegate(i + 1, circuit=_CIRCUITS[i]) for i in range(n)]
 
     @staticmethod
     def _shape(span):
@@ -282,22 +467,23 @@ class TestObservedSweep:
                 [TestObservedSweep._shape(c) for c in span.children])
 
     def test_results_unwrapped_when_observed(self):
-        results, tracer, metrics, _ = self._run(_traced_negate, [1, 2, 3], 1)
+        results, tracer, metrics, _ = self._run(self._negations(3), 1)
         assert results == [-1, -2, -3]
         assert tracer.roots[0].name == "flow.run_sweep"
         assert metrics["worker.calls"]["values"][""] == 3
 
     def test_pooled_matches_serial(self):
-        jobs = [1, 2, 3, 4]
-        s_res, s_tr, s_metrics, _ = self._run(_traced_negate, jobs, 1)
-        p_res, p_tr, p_metrics, _ = self._run(_traced_negate, jobs, 2)
+        s_res, s_tr, s_metrics, s_cache = self._run(self._negations(), 1)
+        p_res, p_tr, p_metrics, p_cache = self._run(self._negations(), 2)
         assert s_res == p_res == [-1, -2, -3, -4]
-        assert s_metrics == p_metrics
+        assert self._totals(s_metrics) == self._totals(p_metrics)
+        assert s_cache == p_cache
         assert s_metrics["worker.input"]["count"] == 4
         [s_root] = s_tr.roots
         [p_root] = p_tr.roots
         assert s_root.attributes["pooled"] is False
         assert p_root.attributes["pooled"] is True
+        assert p_root.attributes["max_workers"] == 2
         # Adopted worker spans: same names, attributes (including the
         # worker index), and nesting on both paths.
         assert [self._shape(c) for c in s_root.children] == \
@@ -305,39 +491,57 @@ class TestObservedSweep:
         assert [c.attributes["worker"] for c in p_root.children] == \
             [0, 1, 2, 3]
 
-    def test_cache_stats_merge_identically(self):
-        jobs = ["c17", "c17"]
-        _, _, _, s_cache = self._run(_context_probe, jobs, 1)
-        _, _, _, p_cache = self._run(_context_probe, jobs, 2)
+    def test_cache_stats_merge_identically(self, tmp_path):
+        # Two circuits named c17 (the packaged one and another netlist
+        # in a c17.bench file) share one cache scope.
+        other = tmp_path / "c17.bench"
+        other.write_text("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n")
+        queries = [_ContextProbe(), _ContextProbe(circuit=str(other))]
+        _, _, _, s_cache = self._run(queries, 1)
+        _, _, _, p_cache = self._run(queries, 2)
         assert s_cache == p_cache
-        [entry] = s_cache  # two same-circuit workers merge to one scope
+        [entry] = s_cache  # two same-named circuits merge to one scope
         assert entry["scope"] == "c17"
         assert entry["artifacts"]["probabilities"] == \
             {"hits": 2, "misses": 2}
 
+    def test_repeated_circuit_hydrates_once_per_worker(self):
+        # The serial path keeps one warm circuit; each pool worker
+        # hydrates its own copy on its first job.  So with a repeated
+        # circuit, hydration spans and counts follow the worker count.
+        queries = [_TracedNegate(x) for x in (1, 2, 3, 4)]
+        for max_workers, hydrations in ((1, 1), (2, 2)):
+            results, tracer, metrics, _ = self._run(queries, max_workers)
+            assert results == [-1, -2, -3, -4]
+            assert metrics["artifacts.hydrations"]["values"][""] == \
+                hydrations
+            assert len(tracer.find("artifacts.hydrate")) == hydrations
+
     def test_workers_not_wrapped_when_disabled(self):
         assert not obs.tracing_enabled()
-        assert run_sweep(_traced_negate, [5], max_workers=1) == [-5]
-        assert run_sweep(_traced_negate, [5], max_workers=2) == [-5]
+        assert _results([_TracedNegate(5)], 1) == [-5]
+        assert _results([_TracedNegate(5)], 2) == [-5]
+        assert not obs.tracing_enabled()
 
     def test_pooled_spans_carry_worker_pids(self):
         # Cross-process adoption tags each worker's spans with its OS
         # pid (the timeline's lane key); a serial run stays untagged.
-        _, p_tr, _, _ = self._run(_traced_negate, [1, 2], 2)
+        _, p_tr, _, _ = self._run(self._negations(2), 2)
         [root] = p_tr.roots
         pids = {c.attributes.get("pid") for c in root.children}
         assert None not in pids
         assert all(pid != os.getpid() for pid in pids)
-        _, s_tr, _, _ = self._run(_traced_negate, [1, 2], 1)
+        _, s_tr, _, _ = self._run(self._negations(2), 1)
         [s_root] = s_tr.roots
         assert all("pid" not in c.attributes for c in s_root.children)
 
     def test_gauge_merges_last_write_in_job_order(self):
         # Gauge merge is last-write-wins folded in job order, so the
         # surviving value is the last job's — serial and pooled alike.
-        for workers in (1, 2):
-            _, _, metrics, _ = self._run(_traced_gauge, [1, 2, 3, 4],
-                                         workers)
+        queries = [_TracedGauge(i + 1, circuit=_CIRCUITS[i])
+                   for i in range(4)]
+        for max_workers in (1, 2):
+            _, _, metrics, _ = self._run(queries, max_workers)
             assert metrics["worker.last_job"]["values"][""] == 4
             assert metrics["worker.calls"]["values"][""] == 4
 
@@ -346,30 +550,29 @@ class TestObservedSweep:
         # runs: adoption order is job order, never completion order.
         docs = []
         for _ in range(2):
-            _, tr, metrics, cache = self._run(_traced_negate,
-                                              [1, 2, 3, 4], 2)
+            _, tr, metrics, cache = self._run(self._negations(), 2)
             report = obs.RunReport("sweep", spans=tr.span_dicts(),
                                    metrics=metrics, cache_stats=cache)
             docs.append(obs.canonical_json(report.to_dict()))
         assert docs[0] == docs[1]
 
 
-def test_pool_actually_used_when_forced():
-    # Sanity: max_workers=2 really routes through ProcessPoolExecutor
+def test_pool_actually_used_when_forced(monkeypatch):
+    # Sanity: max_workers=2 really runs the jobs on two worker
+    # processes, started from the platform's default start method
     # (guards against a refactor silently making everything serial).
-    calls = []
-    real = concurrent.futures.ProcessPoolExecutor
+    started = []
+    real = workers.Worker
 
     class Spy(real):
-        def __init__(self, *a, **k):
-            calls.append(k.get("max_workers"))
-            super().__init__(*a, **k)
+        def __init__(self, mp_context):
+            started.append(mp_context.get_start_method())
+            super().__init__(mp_context)
 
-    import repro.flow.parallel as mod
-    old = mod.ProcessPoolExecutor
-    mod.ProcessPoolExecutor = Spy
-    try:
-        run_sweep(_square, range(3), max_workers=2)
-    finally:
-        mod.ProcessPoolExecutor = old
-    assert calls == [2]
+    monkeypatch.setattr(workers, "Worker", Spy)
+    tracer = obs.Tracer()
+    with obs.use_tracer(tracer):
+        assert _results([_Square(x) for x in range(3)], 2) == [0, 1, 4]
+    assert started == [multiprocessing.get_start_method()] * 2
+    pids = {c.attributes["pid"] for c in tracer.roots[0].children}
+    assert len(pids) == 2 and os.getpid() not in pids

@@ -204,8 +204,16 @@ class TestParserVersionPin:
     """
 
     #: (PARSER_VERSION, SCHEMA_VERSION) -> input -> circuit fingerprint.
+    #: Version 2 builds the same circuits; it rejects cyclic netlists,
+    #: which version 1 accepted.
     PINNED = {
         (1, 1): {
+            "c17": "4da3f28eacea6c27b8d82696ccbe5da4"
+                   "161468e5d69e672faadb4f72b9476bc9",
+            "every-rule": "22b8c24da51a4eb3f6e55d17eace8400"
+                          "9974a0e6478d7f60e61bc99c532bbdd2",
+        },
+        (2, 1): {
             "c17": "4da3f28eacea6c27b8d82696ccbe5da4"
                    "161468e5d69e672faadb4f72b9476bc9",
             "every-rule": "22b8c24da51a4eb3f6e55d17eace8400"

@@ -214,7 +214,8 @@ class TestEndpoints:
     @pytest.mark.parametrize("text, message", [
         ("INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n", "unknown gate type 'FROB'"),
         ("INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\n", "undriven net 'z'"),
-    ], ids=["unknown-gate", "undriven-net"])
+        ("INPUT(a)\nOUTPUT(y)\ny = AND(a, y)\n", "combinational cycle"),
+    ], ids=["unknown-gate", "undriven-net", "cycle"])
     def test_malformed_bench_400(self, live_server, tmp_path, text,
                                  message):
         url, _store, _service = live_server

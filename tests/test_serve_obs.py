@@ -233,7 +233,7 @@ class _HeldWorker:
     """A :class:`~repro.serve.workers.Worker` stand-in: no process, and
     an outcome the test hands over when it chooses."""
 
-    def __init__(self):
+    def __init__(self, mp_context):
         self.held = frozenset()
         self.job_id = None
         self.seq = None
@@ -241,8 +241,8 @@ class _HeldWorker:
         self.started = time.monotonic()
         self.result = None
 
-    def start(self, record, bundle, seq):
-        self.job_id, self.seq = record.job_id, seq
+    def start(self, job_id, query, bundle, *, seq, **kwargs):
+        self.job_id, self.seq = job_id, seq
 
     def outcome(self):
         if self.result is not None:
@@ -273,9 +273,9 @@ def _root_order(monkeypatch, root, finish_order):
     assert sorted(service._workers) == sorted(jobs)
     for i in finish_order:
         service._workers[jobs[i]].result = ("ok", {
-            "numbers": {"aged_delay": float(i)},
+            "result": {"aged_delay": float(i)},
             "spans": [_span_dict("serve.worker.age")],
-            "metrics": {}, "cache_stats": []})
+            "metrics": {}, "cache_stats": [], "pid": None})
         service._poll_workers()
     index = {job: i for i, job in enumerate(jobs)}
     return [(s["name"], index.get(s["attributes"].get("job")))

@@ -211,7 +211,7 @@ def _bundle(name):
 def _job(bundle, scenario, ship=True):
     return {"job": "j", "circuit": bundle.circuit_name,
             "key": bundle.bundle_key, "bundle": bundle if ship else None,
-            "scenario": scenario, "fault": None}
+            "query": scenario, "fault": None}
 
 
 class TestWarmCircuits:
@@ -229,7 +229,7 @@ class TestWarmCircuits:
                                    standby=("worst", "best")[i % 3 % 2])
             reply = serve_job(warm, _job(bundle, scenario, ship=False))
             assert reply["ok"], reply
-            assert reply["numbers"] == _expected(reference, scenario)
+            assert reply["result"] == _expected(reference, scenario)
         assert warm.context(bundle.bundle_key) is context  # no re-hydration
         assert context.memo_keys() == after_one
         assert "gate_shifts" not in after_one
