@@ -33,7 +33,9 @@ from repro.artifacts.fingerprint import (
 #: Bundle layout version; stored in every payload and checked on load.
 #: v2: the base-delay memo ships as one stacked ``base_delay_matrix``
 #: npz member instead of one member per (drop, temperature) key.
-BUNDLE_VERSION = 2
+#: v3: the aging plan ships no per-gate ``slots`` map (device slots are
+#: the gate's start plus the cell's PMOS index).
+BUNDLE_VERSION = 3
 
 
 def encode_leakage_entries(entries: Dict[str, Dict[Tuple[int, ...], float]]
@@ -123,8 +125,7 @@ class ArtifactBundle:
                     "name": circuit.name,
                     "primary_inputs": list(circuit.primary_inputs),
                     "primary_outputs": list(circuit.primary_outputs),
-                    "gates": [[g.name, g.cell, list(g.inputs)]
-                              for g in circuit.gates.values()],
+                    "gates": circuit.gate_rows(),
                 },
                 model_spec={
                     "kv_ref": cal.kv_ref, "vth_ref": cal.vth_ref,
@@ -146,16 +147,13 @@ class ArtifactBundle:
 
     def build_circuit(self):
         """A fresh :class:`~repro.netlist.circuit.Circuit` from the spec."""
-        from repro.netlist.circuit import Circuit, Gate
+        from repro.netlist.circuit import Circuit
 
         spec = self.circuit_spec
-        return Circuit(
-            name=spec["name"],
-            primary_inputs=list(spec["primary_inputs"]),
-            primary_outputs=list(spec["primary_outputs"]),
-            gates=[Gate(name=n, cell=c, inputs=tuple(ins))
-                   for n, c, ins in spec["gates"]],
-        )
+        rows = spec["gates"]
+        return Circuit.from_columns(
+            spec["name"], spec["primary_inputs"], spec["primary_outputs"],
+            [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
 
     def build_library(self):
         """The library this bundle was compiled against.
@@ -204,6 +202,7 @@ class ArtifactBundle:
         silently corrupt results.  Seeded entries count as neither hits
         nor misses, so CacheStats keeps measuring the *run's* work.
         """
+        from repro.netlist.circuit import NetValues
         from repro.sim.packed import PackedSimulator
         from repro.sta.compiled import CompiledTiming
         from repro.sta.degradation import CompiledShiftPlan
@@ -218,9 +217,9 @@ class ArtifactBundle:
         with obs.span("artifacts.hydrate", circuit=context.circuit.name):
             circuit, library = context.circuit, context.library
             wc, pc = self.load_key
-            loads = dict(zip(self.timing_state["load_names"],
-                             (float(v)
-                              for v in self.timing_state["load_values"])))
+            loads = NetValues(list(self.timing_state["load_names"]),
+                              np.asarray(self.timing_state["load_values"],
+                                         dtype=np.float64))
             context.seed_artifact("gate_loads", (wc, pc), loads)
             context.seed_artifact(
                 "compiled_timing", (wc, pc),

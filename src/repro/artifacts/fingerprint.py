@@ -82,7 +82,7 @@ def circuit_fingerprint(circuit) -> str:
     payload = [
         list(circuit.primary_inputs),
         list(circuit.primary_outputs),
-        [[g.name, g.cell, list(g.inputs)] for g in circuit.gates.values()],
+        circuit.gate_rows(),
     ]
     return _digest("circuit", payload)
 

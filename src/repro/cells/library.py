@@ -246,6 +246,19 @@ def _make_oai22(tech: Technology) -> Cell:
     )
 
 
+@dataclass(frozen=True)
+class CellTable:
+    """What every instance of a cell shares: pin count, pin capacitances
+    (farads), PMOS names in :meth:`Cell.pmos_devices` order, and the
+    truth-table rows with output 1 (row ``r`` sets pin ``j`` to bit
+    ``j`` of ``r``)."""
+
+    n_inputs: int
+    pin_caps: Tuple[float, ...]
+    pmos: Tuple[str, ...]
+    one_rows: Tuple[int, ...]
+
+
 @dataclass
 class Library:
     """A named collection of :class:`Cell` objects plus the technology.
@@ -256,6 +269,24 @@ class Library:
 
     tech: Technology
     cells: Dict[str, Cell] = field(default_factory=dict)
+    _tables: Dict[str, CellTable] = field(default_factory=dict, init=False,
+                                          repr=False, compare=False)
+
+    def table(self, name: str) -> CellTable:
+        """The :class:`CellTable` of one cell, built on first use."""
+        table = self._tables.get(name)
+        if table is None:
+            cell = self.get(name)
+            table = CellTable(
+                n_inputs=cell.n_inputs,
+                pin_caps=tuple(cell.input_capacitance(self.tech, pin)
+                               for pin in cell.inputs),
+                pmos=tuple(m.name for m in cell.pmos_devices()),
+                one_rows=tuple(r for r, out
+                               in enumerate(cell.truth_table().values())
+                               if out == 1))
+            self._tables[name] = table
+        return table
 
     def add(self, cell: Cell) -> None:
         """Register a cell; duplicate names are rejected."""

@@ -52,6 +52,7 @@ from repro.core import (
     OperatingProfile,
     guard_band,
 )
+from repro.core.profiles import exact_number
 from repro.flow.report import format_table, mv, ns, pct, ua
 from repro.netlist import BenchParseError, NetlistSource, read_source
 from repro.netlist.circuit import Circuit, CircuitError
@@ -352,7 +353,7 @@ def cmd_guardband(args) -> int:
     profile = _profile_from(args)
     gb = guard_band(profile, WORST_CASE_DEVICE, lifetime=years(args.years),
                     vth0=args.vth0)
-    print(f"scenario: {profile.header()}, Vth0 {args.vth0:g} V")
+    print(f"scenario: {profile.header()}, Vth0 {exact_number(args.vth0)} V")
     print(gb.summary())
     return 0
 
@@ -393,10 +394,11 @@ def cmd_table4(args) -> int:
     printable = [[f"{r.t_standby:.0f} K", pct(r.worst_degradation),
                   pct(r.best_degradation), pct(r.potential, 1)]
                  for r in rows]
+    ras = OperatingProfile.from_ras(args.ras).ras_label()
     print(format_table(
         ["T_standby", "worst-case", "best-case", "potential"], printable,
         title=f"{circuit.name}: internal-node-control potential "
-              f"(RAS {args.ras}, {args.years:g} years)"))
+              f"(RAS {ras}, {exact_number(args.years)} years)"))
     return 0
 
 

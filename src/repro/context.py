@@ -81,6 +81,7 @@ circuit.
 from __future__ import annotations
 
 import logging
+from itertools import repeat
 from typing import (
     Any,
     Callable,
@@ -100,13 +101,33 @@ from repro.cells.leakage import LeakageTable
 from repro.cells.library import Library
 from repro.core.aging import DEFAULT_MODEL, NbtiModel
 from repro.core.profiles import OperatingProfile
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, NetValues
 
 #: Default temperature of the leakage lookup tables (the paper
 #: characterizes leakage at 400 K).
 logger = logging.getLogger(__name__)
 
 DEFAULT_LEAKAGE_TEMPERATURE = 400.0
+
+class StressDuties(NetValues):
+    """``gate -> {PMOS device: stress duty}``, file order, over one lane
+    array per (cell, device): ``groups`` holds, per cell, ``(gate ids,
+    device names, one duty array per device)``."""
+
+    __slots__ = ("groups",)
+
+    def __init__(self, names: Sequence[str], groups: list):
+        super().__init__(names, None)
+        self.groups = groups
+
+    def _values(self) -> list:
+        rows: List[Any] = [None] * len(self.names)
+        for gates, devices, lanes in self.groups:
+            for g, duties in zip(gates.tolist(), zip(
+                    *(lane.tolist() for lane in lanes)) if lanes else repeat(())):
+                rows[g] = dict(zip(devices, duties))
+        return rows
+
 
 class CacheStats:
     """Per-artifact hit/miss counters of one :class:`AnalysisContext`.
@@ -372,15 +393,18 @@ class AnalysisContext:
     # -- timing ------------------------------------------------------------
 
     def gate_loads(self, wire_cap: Optional[float] = None,
-                   po_cap: Optional[float] = None) -> Dict[str, float]:
-        """Output load per gate, keyed by the parasitic settings."""
-        from repro.sta.analysis import PO_CAP, WIRE_CAP, _compute_gate_loads
+                   po_cap: Optional[float] = None) -> Mapping[str, float]:
+        """Output load per gate, keyed by the parasitic settings: a
+        :class:`~repro.netlist.circuit.NetValues` view over the
+        file-order load vector."""
+        from repro.sta.analysis import PO_CAP, WIRE_CAP, gate_load_vector
 
         wc = WIRE_CAP if wire_cap is None else wire_cap
         pc = PO_CAP if po_cap is None else po_cap
         return self._memo(
             "gate_loads", (wc, pc),
-            lambda: _compute_gate_loads(self.circuit, self.library, wc, pc))
+            lambda: NetValues(self.circuit.gate_names(), gate_load_vector(
+                self.circuit, self.library, wc, pc)))
 
     def compiled_timing(self, wire_cap: Optional[float] = None,
                         po_cap: Optional[float] = None):
@@ -524,55 +548,36 @@ class AnalysisContext:
             out[i] = cache[key]
         return out
 
-    def gate_input_probabilities(
-            self, pi_one_prob: Optional[Mapping[str, float]] = None
-    ) -> Dict[str, Dict[str, float]]:
-        """Per-gate pin -> P(pin = 1) maps over the analytic probabilities."""
-        from repro.sim.probability import gate_input_probabilities
-
-        return self._memo(
-            "gate_input_probabilities", self._prob_key(pi_one_prob),
-            lambda: gate_input_probabilities(
-                self.circuit, self.probabilities(pi_one_prob), self.library))
-
     def stress_duties(self, pi_one_prob: Optional[Mapping[str, float]] = None
-                      ) -> Dict[str, Dict[str, float]]:
+                      ) -> Mapping[str, Dict[str, float]]:
         """Active-mode stress duty per PMOS, per gate.
 
         This is the expensive inner product of probability propagation
         and the per-cell series-parallel stress walk; one entry per
-        PI-probability setting serves every aged-timing call.  Gates are
-        grouped by cell and each cell's walk runs once over an array
-        with one lane per instance — bit-identical per lane to the
-        scalar walk, and one Python recursion per *cell* instead of per
-        *gate* (the 100k-gate scale axis lives on this).
+        PI-probability setting serves every aged-timing call.  Each
+        cell's walk runs once over an array with one lane per instance,
+        its pin lanes gathered from the probability array through the
+        fanin CSR — bit-identical per lane to the scalar walk.  Returns
+        a :class:`StressDuties` view over the per-cell lane arrays.
         """
         import numpy as np
 
         from repro.cells.stress import stress_probabilities_for_cell_batch
 
-        def compute() -> Dict[str, Dict[str, float]]:
-            pin_probs = self.gate_input_probabilities(pi_one_prob)
-            by_cell: Dict[str, list] = {}
-            for gate in self.circuit.gates.values():
-                by_cell.setdefault(gate.cell, []).append(gate.name)
-            # Each gate owns its duty dict (aging plans may hold them).
-            result: Dict[str, Dict[str, float]] = {}
-            for cell_name, names in by_cell.items():
+        def compute() -> StressDuties:
+            probs = self.probabilities(pi_one_prob).array
+            cols = self.circuit.columns()
+            cols.cell_tables(self.library)   # checks every gate's arity
+            groups = []
+            for c, cell_name in enumerate(cols.cell_names):
+                gates = np.flatnonzero(cols.cell_ids == c)
                 cell = self.library.get(cell_name)
-                lanes = {
-                    pin: np.fromiter(
-                        (pin_probs[name][pin] for name in names),
-                        dtype=np.float64, count=len(names))
-                    for pin in cell.inputs
-                }
-                duties = stress_probabilities_for_cell_batch(cell, lanes)
-                devs = list(duties.items())
-                for i, name in enumerate(names):
-                    result[name] = {dev: float(col[i])
-                                    for dev, col in devs}
-            return {gate.name: result[gate.name]
-                    for gate in self.circuit.gates.values()}
+                first = cols.fanin_ptr[gates]
+                duties = stress_probabilities_for_cell_batch(cell, {
+                    pin: probs[cols.fanin[first + j]]
+                    for j, pin in enumerate(cell.inputs)})
+                groups.append((gates, list(duties), list(duties.values())))
+            return StressDuties(cols.names, groups)
 
         return self._memo("stress_duties", self._prob_key(pi_one_prob),
                           compute)

@@ -85,10 +85,10 @@ class OperatingProfile:
         """The scenario header ``age``, ``guardband`` and ``sweep``
         print (RAS, temperatures and, given, the lifetime in years),
         every value exact, so two scenarios never print alike."""
-        text = (f"RAS {self.ras_label()}, {_exact(self.t_active)} K / "
-                f"{_exact(self.t_standby)} K")
+        text = (f"RAS {self.ras_label()}, {exact_number(self.t_active)} K / "
+                f"{exact_number(self.t_standby)} K")
         if years is not None:
-            text += f", {_exact(years)} years"
+            text += f", {exact_number(years)} years"
         return text
 
     def isothermal(self) -> bool:
@@ -96,7 +96,7 @@ class OperatingProfile:
         return self.t_active == self.t_standby
 
 
-def _exact(value: float) -> str:
+def exact_number(value: float) -> str:
     """``value`` as an integer when integral, else exact (``repr``)."""
     value = float(value)
     return f"{value:.0f}" if value.is_integer() else repr(value)

@@ -31,7 +31,8 @@ from repro.netlist.circuit import Circuit, CircuitError, Gate
 #: decomposition rule, another gate order, another net naming): stored
 #: source records map file bytes to the fingerprint of the circuit this
 #: parser built, and a new version makes every one of them a miss.
-PARSER_VERSION = 2
+#: Version 3 rejects a netlist none of whose outputs a gate drives.
+PARSER_VERSION = 3
 
 #: ISCAS gate keyword -> (library cell stem, inverting?).
 _GATE_TYPES = {
@@ -64,8 +65,9 @@ class BenchParseError(Exception):
 
 
 def _decompose_wide(out: str, stem: str, inverting: bool, ins: List[str],
-                    gates: List[Gate], counter: List[int]) -> None:
-    """Map one possibly-wide ISCAS gate onto library cells.
+                    rows: List[tuple], counter: List[int]) -> None:
+    """Map one possibly-wide ISCAS gate onto library cells, appending a
+    ``(name, cell, inputs)`` row per library gate.
 
     Fan-in <= 4 maps directly.  Wider gates become a balanced reduction:
     the non-inverting core (AND/OR) absorbs chunks of 4, and the final
@@ -75,7 +77,7 @@ def _decompose_wide(out: str, stem: str, inverting: bool, ins: List[str],
     if stem in ("INV", "BUF"):
         if len(ins) != 1:
             raise BenchParseError(f"{out}: {stem} takes exactly one input")
-        gates.append(Gate(out, stem, ins))
+        rows.append((out, stem, ins))
         return
     if stem in ("XOR", "XNOR"):
         if len(ins) < 2:
@@ -84,13 +86,13 @@ def _decompose_wide(out: str, stem: str, inverting: bool, ins: List[str],
         while len(nets) > 2:
             counter[0] += 1
             mid = f"{out}_x{counter[0]}"
-            gates.append(Gate(mid, "XOR2", nets[:2]))
+            rows.append((mid, "XOR2", nets[:2]))
             nets = [mid] + nets[2:]
-        gates.append(Gate(out, f"{stem}2", nets))
+        rows.append((out, f"{stem}2", nets))
         return
     if len(ins) < 2:
         # Single-input AND/OR degenerate to a buffer (NAND/NOR to INV).
-        gates.append(Gate(out, "INV" if inverting else "BUF", ins))
+        rows.append((out, "INV" if inverting else "BUF", ins))
         return
     base = "AND" if stem in ("AND", "NAND") else "OR"
     nets = list(ins)
@@ -98,56 +100,89 @@ def _decompose_wide(out: str, stem: str, inverting: bool, ins: List[str],
         chunk, nets = nets[:_MAX_FANIN], nets[_MAX_FANIN:]
         counter[0] += 1
         mid = f"{out}_r{counter[0]}"
-        gates.append(Gate(mid, f"{base}{len(chunk)}", chunk))
+        rows.append((mid, f"{base}{len(chunk)}", chunk))
         nets.insert(0, mid)
     final_stem = stem if stem in ("AND", "OR", "NAND", "NOR") else base
-    gates.append(Gate(out, f"{final_stem}{len(nets)}", nets))
+    rows.append((out, f"{final_stem}{len(nets)}", nets))
+
+
+def _direct_cells() -> Dict[Tuple[str, int], str]:
+    """(keyword, fan-in) -> cell, for every gate :func:`_decompose_wide`
+    maps onto one library cell."""
+    table = {}
+    for keyword, (stem, inverting) in _GATE_TYPES.items():
+        for fanin in range(1, _MAX_FANIN + 1):
+            rows: List[tuple] = []
+            try:
+                _decompose_wide("y", stem, inverting, ["a"] * fanin, rows,
+                                [0])
+            except BenchParseError:
+                continue
+            if len(rows) == 1:
+                table[(keyword, fanin)] = rows[0][1]
+    return table
+
+
+_DIRECT_CELLS = _direct_cells()
 
 
 def parse_bench(text: str, name: str = "bench") -> Circuit:
-    """Parse ``.bench`` text into a :class:`Circuit`.
+    """Parse ``.bench`` text into a :class:`Circuit`, built from columns
+    (:meth:`Circuit.from_columns`) without :class:`Gate` objects.
 
     Raises:
         BenchParseError: on syntax errors (message carries line number),
-            on a netlist that declares no ``OUTPUT``, and on a
-            structural error such as a combinational cycle.
+            on a netlist that declares no ``OUTPUT`` or drives none of
+            its outputs by a gate, and on a structural error such as a
+            combinational cycle.
     """
     inputs: List[str] = []
     outputs: List[str] = []
-    gates: List[Gate] = []
+    rows: List[tuple] = []
     counter = [0]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        io = _IO_RE.match(line)
-        if io:
-            (inputs if io.group("kind").upper() == "INPUT" else outputs).append(
-                io.group("net"))
-            continue
         m = _LINE_RE.match(line)
         if not m:
-            raise BenchParseError(f"line {lineno}: cannot parse {raw.strip()!r}")
-        gtype = m.group("type").upper()
+            io = _IO_RE.match(line)
+            if not io:
+                raise BenchParseError(
+                    f"line {lineno}: cannot parse {raw.strip()!r}")
+            (inputs if io.group("kind").upper() == "INPUT" else outputs
+             ).append(io.group("net"))
+            continue
+        out, gtype, ins = m.groups()
+        ins = [s.strip() for s in ins.split(",") if s.strip()]
+        gtype = gtype.upper()
+        cell = _DIRECT_CELLS.get((gtype, len(ins)))
+        if cell is not None:
+            rows.append((out, cell, ins))
+            continue
         if gtype == "DFF":
             raise BenchParseError(
                 f"line {lineno}: sequential element DFF not supported "
                 "(ISCAS85 circuits are combinational)")
         if gtype not in _GATE_TYPES:
             raise BenchParseError(f"line {lineno}: unknown gate type {gtype!r}")
-        ins = [s.strip() for s in m.group("ins").split(",") if s.strip()]
         if not ins:
             raise BenchParseError(f"line {lineno}: gate with no inputs")
         stem, inverting = _GATE_TYPES[gtype]
-        _decompose_wide(m.group("out"), stem, inverting, ins, gates, counter)
+        _decompose_wide(out, stem, inverting, ins, rows, counter)
     if not outputs:
         raise BenchParseError("no OUTPUT declared")
     try:
-        circuit = Circuit(name, inputs, outputs, gates)
+        circuit = Circuit.from_columns(name, inputs, outputs,
+                                       *(zip(*rows) if rows else ((),) * 3))
         # Memoized on the circuit, so the analysis reuses this order.
         circuit.topological_order()
     except CircuitError as exc:
         raise BenchParseError(f"structural error: {exc}") from exc
+    cols = circuit.columns()
+    if not (cols.po_ids >= cols.n_pi).any():
+        # Every path would be empty: a zero delay, no degradation ratio.
+        raise BenchParseError("no OUTPUT is driven by a gate")
     return circuit
 
 

@@ -4,13 +4,20 @@ A :class:`Circuit` is the directed acyclic graph of Sec. 3.3: vertices
 are library-cell instances, edges are named nets.  Following ISCAS
 ``.bench`` convention, each gate is named after the net it drives, so a
 net name is either a primary-input name or a gate name.
+
+The structure lives in :class:`NetlistColumns` (arrays, file order);
+checks, topological order, levels and every lowering are array passes
+over them.  The ``gates`` dict is built on first access.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.cells.library import Library
 
@@ -43,6 +50,189 @@ class CircuitError(Exception):
     """Structural problem in a circuit (cycle, undriven net, bad arity)."""
 
 
+def segment_positions(ptr: np.ndarray, segments: np.ndarray) -> np.ndarray:
+    """Flat positions of CSR ``segments`` (offsets ``ptr``), in order."""
+    starts = ptr[segments]
+    lens = ptr[segments + 1] - starts
+    ends = np.cumsum(lens)
+    return (np.repeat(starts - (ends - lens), lens)
+            + np.arange(ends[-1] if lens.size else 0))
+
+
+class NetValues(Mapping):
+    """Read-only ``names[i] -> array[take[i]]`` (``array[i]`` without
+    ``take``): array consumers read ``array``; the dict behind the
+    mapping (and its pickle) is built on first lookup."""
+
+    __slots__ = ("names", "array", "take", "_dict")
+
+    def __init__(self, names: Sequence[str], array,
+                 take: Optional[np.ndarray] = None):
+        self.names, self.array, self.take = names, array, take
+        self._dict: Optional[dict] = None
+
+    def _values(self) -> list:
+        return (self.array if self.take is None
+                else self.array[self.take]).tolist()
+
+    def _mapping(self) -> dict:
+        if self._dict is None:
+            self._dict = dict(zip(self.names, self._values()))
+        return self._dict
+
+    def __getitem__(self, key):
+        return self._mapping()[key]
+
+    def __iter__(self):
+        return iter(self._mapping())
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __contains__(self, key) -> bool:
+        return key in self._mapping()
+
+    def get(self, key, default=None):
+        return self._mapping().get(key, default)
+
+    def items(self):
+        return self._mapping().items()
+
+    def __reduce__(self):
+        return (dict, (self._mapping(),))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._mapping()!r})"
+
+
+class NetlistColumns:
+    """A netlist as arrays, gates in file order: ``names``, ``net_names``
+    (PIs, then gates: net id ``n_pi + g`` is gate ``g``), ``cell_names``
+    (first-seen) and ``cell_ids`` per gate, the fanin CSR ``fanin_ptr``
+    / ``fanin`` of net ids in pin order, and ``po_ids``.  Construction
+    raises :class:`CircuitError` on the first duplicate or PI-named
+    gate, duplicate PI, undriven gate input or undriven output."""
+
+    def __init__(self, primary_inputs: Sequence[str],
+                 primary_outputs: Sequence[str], names: Sequence[str],
+                 cells: Sequence[str], inputs: Sequence[Sequence[str]]):
+        n_pi, n = len(primary_inputs), len(names)
+        pi_set = set(primary_inputs)
+        index = dict(zip(names, range(n_pi, n_pi + n)))
+        if len(index) != n or not pi_set.isdisjoint(index):
+            seen: Set[str] = set()
+            for name in names:
+                if name in seen:
+                    raise CircuitError(f"duplicate gate {name!r}")
+                if name in pi_set:
+                    raise CircuitError(
+                        f"gate {name!r} collides with a primary input")
+                seen.add(name)
+        if len(pi_set) != n_pi:
+            raise CircuitError("duplicate primary input names")
+        index.update(zip(primary_inputs, range(n_pi)))
+        flat = [net for nets in inputs for net in nets]
+        self.fanin_ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(map(len, inputs), np.int64, n),
+                  out=self.fanin_ptr[1:])
+        self.fanin = np.fromiter(map(index.get, flat, repeat(-1)), np.int64,
+                                 len(flat))
+        if (self.fanin < 0).any():
+            at = int(np.argmax(self.fanin < 0))
+            g = int(np.searchsorted(self.fanin_ptr, at, side="right")) - 1
+            raise CircuitError(
+                f"gate {names[g]!r} reads undriven net {flat[at]!r}")
+        self.po_ids = np.fromiter(map(index.get, primary_outputs, repeat(-1)),
+                                  np.int64, len(primary_outputs))
+        if (self.po_ids < 0).any():
+            po = primary_outputs[int(np.argmax(self.po_ids < 0))]
+            raise CircuitError(f"primary output {po!r} is undriven")
+        self.n_pi = n_pi
+        self.names: List[str] = list(names)
+        self.net_names: List[str] = list(primary_inputs) + self.names
+        self.cell_names: List[str] = list(dict.fromkeys(cells))
+        cell_index = {c: i for i, c in enumerate(self.cell_names)}
+        self.cell_ids = np.fromiter(map(cell_index.__getitem__, cells),
+                                    np.int64, n)
+        self._topology: Optional[Tuple[np.ndarray, np.ndarray]] = None
+
+    def cell_tables(self, library: Library) -> list:
+        """:meth:`Library.table` per cell id, after a check of every
+        gate's input count (:class:`CircuitError` on the first)."""
+        tables = [library.table(c) for c in self.cell_names]
+        arity = np.asarray([t.n_inputs for t in tables],
+                           dtype=np.int64)[self.cell_ids]
+        got = np.diff(self.fanin_ptr)
+        if (got != arity).any():
+            g = int(np.argmax(got != arity))
+            raise CircuitError(
+                f"gate {self.names[g]!r}: cell "
+                f"{self.cell_names[self.cell_ids[g]]} expects "
+                f"{arity[g]} inputs, got {got[g]}")
+        return tables
+
+    def readers(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(gates, ptr)``: the gates reading net ``n`` (gate order, once
+        per read) are ``gates[ptr[n]:ptr[n + 1]]``."""
+        gates = np.repeat(np.arange(len(self.names)),
+                          np.diff(self.fanin_ptr))
+        ptr = np.zeros(len(self.net_names) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.fanin, minlength=len(self.net_names)),
+                  out=ptr[1:])
+        return gates[np.argsort(self.fanin, kind="stable")], ptr
+
+    def rows(self) -> List[list]:
+        """``[name, cell, [inputs]]`` per gate, file order."""
+        ins = np.asarray(self.net_names, dtype=object)[self.fanin].tolist()
+        ptr = self.fanin_ptr.tolist()
+        cells = [self.cell_names[c] for c in self.cell_ids.tolist()]
+        return [[name, cell, ins[a:b]]
+                for name, cell, a, b in zip(self.names, cells, ptr, ptr[1:])]
+
+    def topology(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(order, level)``: gate ids in topological order, and each
+        gate's logic level.  The order is the FIFO Kahn order from a
+        name-sorted ready set, i.e. level 1 by name, then each level by
+        (position of its latest-placed gate input, gate id): one array
+        pass per level.  Raises :class:`CircuitError` on a cycle."""
+        if self._topology is not None:
+            return self._topology
+        n, n_pi = len(self.names), self.n_pi
+        n_inputs = np.diff(self.fanin_ptr)
+        waiting = np.bincount(np.repeat(np.arange(n), n_inputs)[
+            self.fanin >= n_pi], minlength=n)
+        fanout, fanout_ptr = self.readers()
+        net_pos = np.full(n_pi + n, -1, dtype=np.int64)
+        level = np.zeros(n, dtype=np.int64)
+        ready = np.asarray(sorted(np.flatnonzero(waiting == 0).tolist(),
+                                  key=self.names.__getitem__), dtype=np.int64)
+        parts: List[np.ndarray] = []
+        placed = 0
+        while ready.size:
+            net_pos[n_pi + ready] = np.arange(placed, placed + ready.size)
+            placed += ready.size
+            level[ready] = len(parts) + 1
+            parts.append(ready)
+            gates, hits = np.unique(
+                fanout[segment_positions(fanout_ptr, n_pi + ready)],
+                return_counts=True)
+            waiting[gates] -= hits
+            ready = gates[waiting[gates] == 0]
+            counts = n_inputs[ready]
+            if ready.size:
+                latest = np.maximum.reduceat(net_pos[self.fanin[
+                    segment_positions(self.fanin_ptr, ready)]],
+                    np.cumsum(counts) - counts)
+                ready = ready[np.argsort(latest, kind="stable")]
+        if (level == 0).any():
+            stuck = sorted(self.names[g]
+                           for g in np.flatnonzero(level == 0).tolist())[:5]
+            raise CircuitError(f"combinational cycle involving {stuck}")
+        self._topology = (np.concatenate(parts) if parts
+                          else np.zeros(0, np.int64), level)
+        return self._topology
+
+
 class Circuit:
     """A combinational netlist.
 
@@ -51,40 +241,70 @@ class Circuit:
         primary_inputs: ordered PI net names.
         primary_outputs: ordered PO net names (each must be a gate or PI).
         gates: gate instances; evaluation order is derived, not assumed.
+
+    :meth:`from_columns` builds one with no :class:`Gate` object.
     """
 
     def __init__(self, name: str, primary_inputs: Sequence[str],
                  primary_outputs: Sequence[str], gates: Iterable[Gate]):
+        gates = list(gates)
+        self._bind(name, primary_inputs, primary_outputs,
+                   [g.name for g in gates], [g.cell for g in gates],
+                   [g.inputs for g in gates])
+        self._gates = dict(zip(self._cols.names, gates))
+
+    @classmethod
+    def from_columns(cls, name: str, primary_inputs: Sequence[str],
+                     primary_outputs: Sequence[str], names: Sequence[str],
+                     cells: Sequence[str],
+                     inputs: Sequence[Sequence[str]]) -> "Circuit":
+        """A circuit from per-gate names, cells and input-net lists in
+        file order (raises :class:`CircuitError` like the constructor)."""
+        self = cls.__new__(cls)
+        self._bind(name, primary_inputs, primary_outputs, names, cells,
+                   inputs)
+        return self
+
+    def _bind(self, name, primary_inputs, primary_outputs, names, cells,
+              inputs) -> None:
         self.name = name
         self.primary_inputs: Tuple[str, ...] = tuple(primary_inputs)
         self.primary_outputs: Tuple[str, ...] = tuple(primary_outputs)
-        self.gates: Dict[str, Gate] = {}
-        for gate in gates:
-            if gate.name in self.gates:
-                raise CircuitError(f"duplicate gate {gate.name!r}")
-            if gate.name in self.primary_inputs:
-                raise CircuitError(f"gate {gate.name!r} collides with a primary input")
-            self.gates[gate.name] = gate
-        self._check_structure()
-        self._topo_cache: Optional[List[str]] = None
-        self._fanout_cache: Optional[Dict[str, List[str]]] = None
-        self._levels_cache: Optional[Dict[str, int]] = None
-        self._nets_cache: Optional[frozenset] = None
+        self._gates: Optional[Dict[str, Gate]] = None
+        self._cols: Optional[NetlistColumns] = NetlistColumns(
+            self.primary_inputs, self.primary_outputs, names, cells, inputs)
+        self.invalidate_caches()
 
     # -- structure ---------------------------------------------------------
 
-    def _check_structure(self) -> None:
-        pi_set = set(self.primary_inputs)
-        if len(pi_set) != len(self.primary_inputs):
-            raise CircuitError("duplicate primary input names")
-        drivers = pi_set | set(self.gates)
-        for gate in self.gates.values():
-            for net in gate.inputs:
-                if net not in drivers:
-                    raise CircuitError(f"gate {gate.name!r} reads undriven net {net!r}")
-        for po in self.primary_outputs:
-            if po not in drivers:
-                raise CircuitError(f"primary output {po!r} is undriven")
+    @property
+    def gates(self) -> Dict[str, Gate]:
+        """Gate name -> :class:`Gate`, file order; built on first access,
+        then the netlist itself (see :meth:`invalidate_caches`)."""
+        if self._gates is None:
+            self._gates = {row[0]: Gate(*row) for row in self._cols.rows()}
+        return self._gates
+
+    def columns(self) -> NetlistColumns:
+        """The netlist as :class:`NetlistColumns` (shared: read-only)."""
+        if self._cols is None:
+            gates = list(self._gates.values())
+            self._cols = NetlistColumns(
+                self.primary_inputs, self.primary_outputs,
+                [g.name for g in gates], [g.cell for g in gates],
+                [g.inputs for g in gates])
+        return self._cols
+
+    def gate_names(self) -> List[str]:
+        """Gate names in file order (shared list: read-only)."""
+        return self.columns().names
+
+    def gate_rows(self) -> List[list]:
+        """``[name, cell, [inputs]]`` per gate, file order (from the
+        ``gates`` dict once it exists, so in-place edits show)."""
+        if self._gates is None:
+            return self._cols.rows()
+        return [[g.name, g.cell, list(g.inputs)] for g in self._gates.values()]
 
     @property
     def nets(self) -> Set[str]:
@@ -95,12 +315,12 @@ class Circuit:
         derived-structure caches by :meth:`invalidate_caches`.
         """
         if self._nets_cache is None:
-            self._nets_cache = frozenset(self.primary_inputs) | frozenset(self.gates)
+            self._nets_cache = frozenset(self.columns().net_names)
         return self._nets_cache
 
     def n_gates(self) -> int:
         """Number of gate instances."""
-        return len(self.gates)
+        return len(self._cols.names if self._gates is None else self._gates)
 
     def fanout(self) -> Dict[str, List[str]]:
         """Map net -> gate names reading it (POs not included).
@@ -109,39 +329,26 @@ class Circuit:
         per call, the per-net lists are shared and must not be mutated.
         """
         if self._fanout_cache is None:
-            result: Dict[str, List[str]] = {net: [] for net in self.nets}
-            for gate in self.gates.values():
-                for net in gate.inputs:
-                    result[net].append(gate.name)
-            self._fanout_cache = result
+            cols = self.columns()
+            gates, ptr = cols.readers()
+            names = np.asarray(cols.names, dtype=object)[gates].tolist()
+            ptr = ptr.tolist()
+            self._fanout_cache = {net: names[a:b] for net, a, b
+                                  in zip(cols.net_names, ptr, ptr[1:])}
         return dict(self._fanout_cache)
 
     def topological_order(self) -> List[str]:
-        """Gate names in dependency order (Kahn's algorithm).
+        """Gate names in dependency order (the FIFO Kahn order of
+        :meth:`NetlistColumns.topology`).
 
         Raises:
             CircuitError: if the netlist contains a combinational cycle.
         """
-        if self._topo_cache is not None:
-            return list(self._topo_cache)
-        indegree: Dict[str, int] = {}
-        for gate in self.gates.values():
-            indegree[gate.name] = sum(1 for net in gate.inputs if net in self.gates)
-        consumers = self.fanout()
-        ready = deque(sorted(g for g, d in indegree.items() if d == 0))
-        order: List[str] = []
-        while ready:
-            g = ready.popleft()
-            order.append(g)
-            for consumer in consumers.get(g, ()):
-                indegree[consumer] -= 1
-                if indegree[consumer] == 0:
-                    ready.append(consumer)
-        if len(order) != len(self.gates):
-            stuck = sorted(set(self.gates) - set(order))[:5]
-            raise CircuitError(f"combinational cycle involving {stuck}")
-        self._topo_cache = order
-        return list(order)
+        if self._topo_cache is None:
+            cols = self.columns()
+            self._topo_cache = np.asarray(cols.names, dtype=object)[
+                cols.topology()[0]].tolist()
+        return list(self._topo_cache)
 
     def levels(self) -> Dict[str, int]:
         """Logic level of each net: PIs at 0, gates at 1 + max(input levels).
@@ -149,16 +356,15 @@ class Circuit:
         Cached like :meth:`topological_order`.
         """
         if self._levels_cache is None:
-            level: Dict[str, int] = {pi: 0 for pi in self.primary_inputs}
-            for name in self.topological_order():
-                gate = self.gates[name]
-                level[name] = 1 + max(level[net] for net in gate.inputs)
-            self._levels_cache = level
+            names = self.topological_order()
+            order, level = self.columns().topology()
+            self._levels_cache = dict.fromkeys(self.primary_inputs, 0)
+            self._levels_cache.update(zip(names, level[order].tolist()))
         return dict(self._levels_cache)
 
     def invalidate_caches(self) -> None:
         """Drop every derived-structure cache (topo order, fanout, levels,
-        nets).
+        nets), and the columns once the ``gates`` dict exists.
 
         Must be called after any in-place netlist mutation; the mutation
         entry points (:meth:`replace_gate`) call it automatically.
@@ -169,6 +375,8 @@ class Circuit:
         self._fanout_cache = None
         self._levels_cache = None
         self._nets_cache = None
+        if self._gates is not None:
+            self._cols = None
 
     def replace_gate(self, gate: Gate) -> None:
         """Swap the implementation of an existing gate in place.
@@ -182,16 +390,16 @@ class Circuit:
                 inputs read undriven nets, or if the edit creates a
                 combinational cycle.
         """
-        if gate.name not in self.gates:
+        gates = self.gates
+        if gate.name not in gates:
             raise CircuitError(f"no gate {gate.name!r} to replace")
-        old = self.gates[gate.name]
-        self.gates[gate.name] = gate
+        old = gates[gate.name]
+        gates[gate.name] = gate
         self.invalidate_caches()
         try:
-            self._check_structure()
             self.topological_order()
         except CircuitError:
-            self.gates[gate.name] = old
+            gates[gate.name] = old
             self.invalidate_caches()
             raise
 
@@ -211,8 +419,8 @@ class Circuit:
 
     def depth(self) -> int:
         """Maximum logic level across all nets."""
-        lv = self.levels()
-        return max(lv.values()) if lv else 0
+        level = self.columns().topology()[1]
+        return int(level.max()) if level.size else 0
 
     def validate(self, library: Library) -> None:
         """Check every gate maps to a library cell with matching arity.
@@ -232,10 +440,9 @@ class Circuit:
 
     def cell_histogram(self) -> Dict[str, int]:
         """Count of instances per cell name."""
-        hist: Dict[str, int] = {}
-        for gate in self.gates.values():
-            hist[gate.cell] = hist.get(gate.cell, 0) + 1
-        return dict(sorted(hist.items()))
+        cols = self.columns()
+        return dict(sorted(zip(cols.cell_names,
+                               np.bincount(cols.cell_ids).tolist())))
 
     def stats(self) -> Dict[str, int]:
         """Summary statistics used in reports and generator tests."""
@@ -262,4 +469,4 @@ class Circuit:
 
     def __repr__(self) -> str:
         return (f"Circuit({self.name!r}, inputs={len(self.primary_inputs)}, "
-                f"outputs={len(self.primary_outputs)}, gates={len(self.gates)})")
+                f"outputs={len(self.primary_outputs)}, gates={self.n_gates()})")

@@ -5,7 +5,6 @@ from repro.sim.packed import PackedSimulator, pack_matrix, unpack_matrix
 from repro.sim.probability import (
     estimate_activity,
     estimate_probabilities,
-    gate_input_probabilities,
     propagate_probabilities,
 )
 from repro.sim.vectors import (
@@ -20,8 +19,7 @@ from repro.sim.vectors import (
 __all__ = [
     "default_library", "evaluate", "evaluate_batch", "outputs_for",
     "PackedSimulator", "pack_matrix", "unpack_matrix",
-    "estimate_activity", "estimate_probabilities",
-    "gate_input_probabilities", "propagate_probabilities",
+    "estimate_activity", "estimate_probabilities", "propagate_probabilities",
     "all_vectors", "bits_to_vector", "constant_vector",
     "random_vector", "random_vectors", "vector_to_bits",
 ]

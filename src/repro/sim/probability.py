@@ -16,41 +16,63 @@ is given or the given one does not cover the call.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.cells.library import Library
 from repro.context import context_for
-from repro.netlist.circuit import Circuit
-from repro.sim.logic import default_library, evaluate_batch
+from repro.netlist.circuit import Circuit, NetValues
+from repro.sim.logic import evaluate_batch
 
 
 def _propagate_impl(circuit: Circuit,
                     pi_one_prob: Optional[Dict[str, float]],
-                    library: Library) -> Dict[str, float]:
-    """The raw analytic propagation (no caching; see the wrapper below)."""
-    probs: Dict[str, float] = {}
-    for pi in circuit.primary_inputs:
+                    library: Library) -> NetValues:
+    """The raw analytic propagation (no caching; see the wrapper below).
+
+    Level by level over the topological order, every gate of a level at
+    once: each truth-table row's product of per-pin factors, multiplied
+    in pin order, then the rows summed in row order (``cumsum``) and
+    clamped.  A pin a short cell lacks reads a padding net of
+    probability 0.0, whose factor ``1.0 - 0.0`` is exactly 1.0, and a
+    row its cell lacks or maps to 0 adds exactly 0.0; so every lane is
+    the per-gate sum bit for bit.  Returns the ``net -> P(net = 1)``
+    view, PIs then gates in topological order; its ``array`` is
+    indexed by net id.
+    """
+    cols = circuit.columns()
+    tables = cols.cell_tables(library)
+    order, level = cols.topology()
+    probs = np.zeros(len(cols.net_names) + 1)   # + the padding net
+    for i, pi in enumerate(circuit.primary_inputs):
         p = 0.5 if pi_one_prob is None else pi_one_prob.get(pi, 0.5)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"P({pi!r}=1) out of range: {p}")
-        probs[pi] = p
-    for name in circuit.topological_order():
-        gate = circuit.gates[name]
-        cell = library.get(gate.cell)
-        p_one = 0.0
-        pin_probs = [probs[net] for net in gate.inputs]
-        for vec, out in cell.truth_table().items():
-            if out != 1:
-                continue
-            p = 1.0
-            for bit, p1 in zip(vec, pin_probs):
-                p *= p1 if bit else (1.0 - p1)
-            p_one += p
+        probs[i] = p
+    n_pins = np.diff(cols.fanin_ptr)
+    width = int(n_pins.max()) if n_pins.size else 0
+    pins = np.full((n_pins.size, width), probs.size - 1)
+    pins[np.arange(width) < n_pins[:, None]] = cols.fanin
+    bits = ((np.arange(1 << width)[:, None] >> np.arange(width)) & 1
+            ).astype(bool)
+    ones = np.zeros((len(tables), 1 << width), dtype=bool)
+    for c, table in enumerate(tables):
+        ones[c, list(table.one_rows)] = True
+    bounds = np.flatnonzero(np.diff(level[order])) + 1
+    for gates in np.split(order, bounds) if order.size else ():
+        p1 = probs[pins[gates]][:, None, :]
+        factor = np.where(bits, p1, 1.0 - p1)
+        prod = factor[:, :, 0]
+        for j in range(1, width):
+            prod = prod * factor[:, :, j]
+        rows = np.where(ones[cols.cell_ids[gates]], prod, 0.0)
         # Clamp float drift: sums of 2^n products can exceed 1 by ulps.
-        probs[name] = min(1.0, max(0.0, p_one))
-    return probs
+        probs[cols.n_pi + gates] = np.minimum(
+            1.0, np.maximum(0.0, np.cumsum(rows, axis=1)[:, -1]))
+    take = np.concatenate((np.arange(cols.n_pi), cols.n_pi + order))
+    return NetValues(circuit.primary_inputs + tuple(circuit.topological_order()),
+                     probs[:-1], take)
 
 
 def _estimate_impl(circuit: Circuit, n_vectors: int, seed: int,
@@ -133,21 +155,3 @@ def estimate_activity(circuit: Circuit, n_vectors: int = 2048, seed: int = 0,
     """
     context = context_for(circuit, library, context=context)
     return dict(context.activity(n_vectors=n_vectors, seed=seed))
-
-
-def gate_input_probabilities(circuit: Circuit, probs: Dict[str, float],
-                             library: Optional[Library] = None,
-                             ) -> Dict[str, Dict[str, float]]:
-    """Per-gate map: cell pin name -> P(pin = 1), from net probabilities.
-
-    This is the adapter between circuit-level signal probabilities and
-    the per-cell stress-duty machinery in :mod:`repro.cells.stress`.
-    """
-    library = library or default_library()
-    result: Dict[str, Dict[str, float]] = {}
-    for gate in circuit.gates.values():
-        cell = library.get(gate.cell)
-        result[gate.name] = {
-            pin: probs[net] for pin, net in zip(cell.inputs, gate.inputs)
-        }
-    return result

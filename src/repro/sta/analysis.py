@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.cells.library import Library
 from repro.context import context_for, covering_context
@@ -55,24 +57,30 @@ def gate_loads(circuit: Circuit, library: Optional[Library] = None,
     return dict(context.gate_loads(wire_cap=wire_cap, po_cap=po_cap))
 
 
-def _compute_gate_loads(circuit: Circuit, library: Library,
-                        wire_cap: float, po_cap: float) -> Dict[str, float]:
-    """The raw load computation (no caching; see the wrapper above)."""
-    tech = library.tech
-    loads: Dict[str, float] = {name: 0.0 for name in circuit.gates}
-    po_set: Dict[str, int] = {}
-    for po in circuit.primary_outputs:
-        po_set[po] = po_set.get(po, 0) + 1
-    for gate in circuit.gates.values():
-        cell = library.get(gate.cell)
-        for pin, net in zip(cell.inputs, gate.inputs):
-            if net in loads:
-                loads[net] += cell.input_capacitance(tech, pin) + wire_cap
-    for name in loads:
-        loads[name] += po_set.get(name, 0) * po_cap
-        if loads[name] == 0.0:
-            # Dangling gates still drive their own drain parasitics.
-            loads[name] = wire_cap
+def gate_load_vector(circuit: Circuit, library: Library,
+                     wire_cap: float, po_cap: float) -> np.ndarray:
+    """Output load (farads) per gate, file order (no caching; see the
+    wrapper above): one ``np.bincount`` of pin capacitance + wire stub
+    over the (gate, pin) pairs in gate order, so each load sums in the
+    order a per-gate loop would."""
+    cols = circuit.columns()
+    tables = cols.cell_tables(library)
+    caps = np.zeros((len(tables), max((t.n_inputs for t in tables),
+                                      default=0)))
+    for c, table in enumerate(tables):
+        caps[c, :table.n_inputs] = table.pin_caps
+    n_pins = np.diff(cols.fanin_ptr)
+    pin = np.arange(cols.fanin.size) - np.repeat(cols.fanin_ptr[:-1], n_pins)
+    weights = caps[np.repeat(cols.cell_ids, n_pins), pin] + wire_cap
+    driven = cols.fanin >= cols.n_pi
+    n = len(cols.names)
+    loads = np.bincount(cols.fanin[driven] - cols.n_pi,
+                        weights=weights[driven], minlength=n
+                        ).astype(np.float64, copy=False)
+    loads += np.bincount(cols.po_ids, minlength=cols.n_pi + n)[
+        cols.n_pi:] * po_cap
+    # Dangling gates still drive their own drain parasitics.
+    loads[loads == 0.0] = wire_cap
     return loads
 
 

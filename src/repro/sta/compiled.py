@@ -44,6 +44,8 @@ only the affected backward cone of required times.
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
+from itertools import repeat
 from time import perf_counter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -51,14 +53,14 @@ import numpy as np
 
 from repro import obs
 from repro.cells.library import Library
-from repro.netlist.circuit import Circuit
+from repro.netlist.circuit import Circuit, NetValues, segment_positions
 from repro.sta.analysis import (
     _EDGES,
     _input_edges_for,
     PO_CAP,
     WIRE_CAP,
     TimingResult,
-    _compute_gate_loads,
+    gate_load_vector,
 )
 
 _EDGE_INDEX = {"rise": 0, "fall": 1}
@@ -128,87 +130,116 @@ class CompiledTiming:
 
         self.circuit = circuit
         self.library = library or default_library()
+        cols = circuit.columns()
+        self._load_names = cols.names
         if loads is None:
-            loads = _compute_gate_loads(circuit, self.library, wire_cap, po_cap)
-        self.loads: Dict[str, float] = dict(loads)
+            loads = gate_load_vector(circuit, self.library, wire_cap, po_cap)
+        elif (isinstance(loads, NetValues) and loads.take is None
+              and loads.names == cols.names):
+            loads = loads.array
+        else:
+            loads = np.fromiter((loads[n] for n in cols.names), np.float64,
+                                len(cols.names))
+        self._load_values = np.asarray(loads, dtype=np.float64)
 
         tech = self.library.tech
         self._alpha = tech.alpha
         self._overdrive = tech.vdd - tech.pmos.vth0
 
         self.gate_names: List[str] = circuit.topological_order()
+        self._order, _ = cols.topology()
         self.n_gates = len(self.gate_names)
-        self.n_pi = len(circuit.primary_inputs)
-        self.gate_index: Dict[str, int] = {
-            name: i for i, name in enumerate(self.gate_names)}
-        self.node_index: Dict[str, int] = {
-            pi: i for i, pi in enumerate(circuit.primary_inputs)}
-        for i, name in enumerate(self.gate_names):
-            self.node_index[name] = self.n_pi + i
+        self.n_pi = cols.n_pi
         self.n_rows = 2 * (self.n_pi + self.n_gates)
+        # Node of every net: PIs keep their id, gate g sits at
+        # n_pi + its topological position.
+        self._node_of_net = np.arange(self.n_pi + self.n_gates)
+        self._node_of_net[self.n_pi + self._order] = np.arange(
+            self.n_pi, self.n_pi + self.n_gates)
 
         # Cell-class groups for the vectorized base-delay compile: every
         # gate sharing a cell evaluates the alpha-power closed form once
         # per (cell, edge) and broadcasts over its load vector.
-        self._loads_vec = np.asarray(
-            [self.loads[n] for n in self.gate_names], dtype=np.float64)
-        groups: Dict[str, List[int]] = {}
-        for i, name in enumerate(self.gate_names):
-            groups.setdefault(circuit.gates[name].cell, []).append(i)
+        self._loads_vec = self._load_values[self._order]
+        cell_of = cols.cell_ids[self._order]
         self._cell_groups: List[Tuple[str, np.ndarray]] = [
-            (cell, np.asarray(idxs, dtype=np.int64))
-            for cell, idxs in groups.items()]
+            (cell, np.flatnonzero(cell_of == c))
+            for c, cell in enumerate(cols.cell_names)]
+
+    @cached_property
+    def gate_index(self) -> Dict[str, int]:
+        """Gate name -> topological position."""
+        return {name: i for i, name in enumerate(self.gate_names)}
+
+    @cached_property
+    def node_index(self) -> Dict[str, int]:
+        """Net name -> node (PIs first, then topological gates)."""
+        index = {pi: i for i, pi in enumerate(self.circuit.primary_inputs)}
+        index.update(zip(self.gate_names,
+                         range(self.n_pi, self.n_pi + self.n_gates)))
+        return index
+
+    @cached_property
+    def loads(self) -> Mapping[str, float]:
+        """Per-gate output load (farads), gate name -> load."""
+        return NetValues(self._load_names, self._load_values)
 
     def _build_fanin_csr(self) -> None:
-        """Fanin CSR over gate-edge segments (s = 2*topo_i + edge)."""
-        circuit = self.circuit
-        fanin: List[int] = []
-        ptr: List[int] = [0]
-        for name in self.gate_names:
-            gate = circuit.gates[name]
-            for out_edge in _EDGES:
-                for net in gate.inputs:
-                    node = self.node_index[net]
-                    for in_edge in _input_edges_for(gate.cell, out_edge):
-                        fanin.append(2 * node + _EDGE_INDEX[in_edge])
-                ptr.append(len(fanin))
-        self.fanin_idx = np.asarray(fanin, dtype=np.int64)
-        self.seg_ptr = np.asarray(ptr, dtype=np.int64)
+        """Fanin CSR over gate-edge segments (s = 2*topo_i + edge): per
+        pin, the candidate rows of the cell's edge phase
+        (:func:`~repro.sta.analysis._input_edges_for`), gathered from a
+        per-cell-type phase table."""
+        cols = self.circuit.columns()
+        n_cells = len(cols.cell_names)
+        phase = np.zeros((n_cells, 2, 2), dtype=np.int64)
+        width = np.ones(n_cells, dtype=np.int64)
+        for c, cell in enumerate(cols.cell_names):
+            for e, edge in enumerate(_EDGES):
+                in_edges = [_EDGE_INDEX[x] for x in _input_edges_for(cell, edge)]
+                width[c] = len(in_edges)
+                phase[c, e, :len(in_edges)] = in_edges
+        cell = cols.cell_ids[self._order]
+        pins = np.diff(cols.fanin_ptr)[self._order]
+        nodes = self._node_of_net[
+            cols.fanin[segment_positions(cols.fanin_ptr, self._order)]]
+        first_pin = np.cumsum(pins) - pins
+        self.seg_ptr = np.zeros(2 * self.n_gates + 1, dtype=np.int64)
+        np.cumsum(np.repeat(pins * width[cell], 2), out=self.seg_ptr[1:])
         self._seg_counts = np.diff(self.seg_ptr)
+        seg = np.repeat(np.arange(2 * self.n_gates), self._seg_counts)
+        local = np.arange(self.seg_ptr[-1]) - self.seg_ptr[seg]
+        gate = seg >> 1
+        pin = local // width[cell[gate]]
+        self.fanin_idx = (2 * nodes[first_pin[gate] + pin]
+                          + phase[cell[gate], seg & 1,
+                                  local - pin * width[cell[gate]]])
 
     def _build_schedule(self) -> None:
         """Derived traversal structures (recomputable from the CSR)."""
-        circuit = self.circuit
-        # Levelized schedule: all inputs of a level-L gate sit strictly
-        # below L, so one gather/reduceat per level is a valid order.
-        levels_map = circuit.levels()
-        by_level: Dict[int, List[int]] = {}
-        for i, name in enumerate(self.gate_names):
-            by_level.setdefault(levels_map[name], []).append(i)
+        # Levelized schedule: the topological order runs level by level,
+        # so each level is one contiguous run of gates and segments, and
+        # all its inputs sit strictly below it.
+        _, level = self.circuit.columns().topology()
+        lv = level[self._order]
         self._levels: List[_Level] = []
-        for level in sorted(by_level):
-            gate_ids = by_level[level]
-            segs = np.asarray([2 * i + e for i in gate_ids for e in (0, 1)],
-                              dtype=np.int64)
-            rows = np.asarray(
-                [2 * (self.n_pi + i) + e for i in gate_ids for e in (0, 1)],
-                dtype=np.int64)
-            pieces = [self.fanin_idx[self.seg_ptr[s]:self.seg_ptr[s + 1]]
-                      for s in segs]
-            counts = np.asarray([len(p) for p in pieces], dtype=np.int64)
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            self._levels.append(_Level(rows, segs,
-                                       np.concatenate(pieces) if pieces
-                                       else np.empty(0, dtype=np.int64),
-                                       starts.astype(np.int64), counts))
+        if self.n_gates:
+            bounds = np.concatenate(
+                ([0], np.flatnonzero(np.diff(lv)) + 1, [self.n_gates]))
+            for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+                counts = self._seg_counts[2 * lo:2 * hi]
+                self._levels.append(_Level(
+                    np.arange(2 * (self.n_pi + lo), 2 * (self.n_pi + hi)),
+                    np.arange(2 * lo, 2 * hi),
+                    self.fanin_idx[self.seg_ptr[2 * lo]:self.seg_ptr[2 * hi]],
+                    np.cumsum(counts) - counts, counts))
 
         # Primary-output rows in the scalar scan order (duplicates kept:
         # the scalar loop iterates primary_outputs as declared).
         self.po_order: List[Tuple[str, str]] = [
-            (po, edge) for po in circuit.primary_outputs for edge in _EDGES]
-        self.po_rows = np.asarray(
-            [2 * self.node_index[po] + _EDGE_INDEX[edge]
-             for po, edge in self.po_order], dtype=np.int64)
+            (po, edge) for po in self.circuit.primary_outputs
+            for edge in _EDGES]
+        po_nodes = self._node_of_net[self.circuit.columns().po_ids]
+        self.po_rows = (2 * po_nodes[:, None] + np.arange(2)).ravel()
 
         # Plain-Python mirrors of the hot incremental-mode structures
         # (fanin lists, fanout adjacency, node levels, PO rows) are
@@ -239,22 +270,18 @@ class CompiledTiming:
         if self._mirrors is None:
             with obs.span("sta.compiled.mirrors",
                           circuit=self.circuit.name):
-                fanin_lists = [
-                    [int(r) for r in
-                     self.fanin_idx[self.seg_ptr[s]:self.seg_ptr[s + 1]]]
-                    for s in range(2 * self.n_gates)]
-                po_row_list = [int(r) for r in self.po_rows]
-                levels_map = self.circuit.levels()
-                node_levels = [0] * (self.n_pi + self.n_gates)
-                for i, name in enumerate(self.gate_names):
-                    node_levels[self.n_pi + i] = levels_map[name]
-                fanout = self.circuit.fanout()
-                fanout_nodes: List[List[int]] = [
-                    [] for _ in range(self.n_pi + self.n_gates)]
-                for net, consumers in fanout.items():
-                    fanout_nodes[self.node_index[net]] = [
-                        self.node_index[c] for c in consumers]
-                self._mirrors = (fanin_lists, po_row_list,
+                cols = self.circuit.columns()
+                rows, ptr = self.fanin_idx.tolist(), self.seg_ptr.tolist()
+                fanin_lists = [rows[a:b] for a, b in zip(ptr, ptr[1:])]
+                order, level = cols.topology()
+                node_levels = [0] * self.n_pi + level[order].tolist()
+                gates, ptr = cols.readers()
+                nodes = self._node_of_net[self.n_pi + gates].tolist()
+                ptr = ptr.tolist()
+                by_net = [nodes[a:b] for a, b in zip(ptr, ptr[1:])]
+                fanout_nodes = [by_net[n] for n in
+                                np.argsort(self._node_of_net).tolist()]
+                self._mirrors = (fanin_lists, self.po_rows.tolist(),
                                  node_levels, fanout_nodes)
             obs.count("sta.compiled.mirror_builds")
         return self._mirrors
@@ -302,9 +329,8 @@ class CompiledTiming:
         return {
             "gate_names": list(self.gate_names),
             "n_pi": self.n_pi,
-            "load_names": list(self.loads),
-            "load_values": np.asarray(
-                [self.loads[n] for n in self.loads], dtype=np.float64),
+            "load_names": list(self._load_names),
+            "load_values": self._load_values,
             "fanin_idx": self.fanin_idx,
             "seg_ptr": self.seg_ptr,
             "base_delay_keys": [list(k) for k in keys],
@@ -323,8 +349,9 @@ class CompiledTiming:
         t0 = perf_counter()
         self = cls.__new__(cls)
         with obs.span("sta.compiled.hydrate", circuit=circuit.name):
-            loads = dict(zip(state["load_names"],
-                             (float(v) for v in state["load_values"])))
+            loads = NetValues(list(state["load_names"]),
+                              np.asarray(state["load_values"],
+                                         dtype=np.float64))
             self._bind(circuit, library, loads, WIRE_CAP, PO_CAP)
             if list(state["gate_names"]) != self.gate_names:
                 raise ValueError(
@@ -452,13 +479,9 @@ class CompiledTiming:
         if values is None:
             return None
         if isinstance(values, Mapping):
-            vec = np.full(self.n_gates, default, dtype=np.float64)
-            index = self.gate_index
-            for name, value in values.items():
-                i = index.get(name)
-                if i is not None:
-                    vec[i] = value
-            return vec
+            return np.fromiter(map(values.get, self.gate_names,
+                                   repeat(default)),
+                               np.float64, self.n_gates)
         vec = np.asarray(values, dtype=np.float64)
         if vec.ndim == 1 and vec.shape[0] == self.n_gates:
             return vec
@@ -761,18 +784,12 @@ class CompiledTiming:
         """Row -> consumer-segment CSR: which gate-edge segments read a
         row as a fanin candidate."""
         if self._rev is None:
-            counts = np.zeros(self.n_rows, dtype=np.int64)
-            seg_of = np.repeat(np.arange(2 * self.n_gates, dtype=np.int64),
-                               self._seg_counts)
-            np.add.at(counts, self.fanin_idx, 1)
-            ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-            data = np.empty(self.fanin_idx.size, dtype=np.int64)
-            cursor = ptr[:-1].copy()
-            for pos in range(self.fanin_idx.size):
-                row = self.fanin_idx[pos]
-                data[cursor[row]] = seg_of[pos]
-                cursor[row] += 1
-            self._rev = (ptr, data)
+            ptr = np.zeros(self.n_rows + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.fanin_idx, minlength=self.n_rows),
+                      out=ptr[1:])
+            seg_of = np.repeat(np.arange(2 * self.n_gates), self._seg_counts)
+            self._rev = (ptr, seg_of[np.argsort(self.fanin_idx,
+                                                kind="stable")])
         return self._rev
 
     def __repr__(self) -> str:

@@ -27,7 +27,7 @@ from repro.cells.stress import (
     stress_under_vector,
 )
 from repro.core.aging import DEFAULT_MODEL, NbtiModel
-from repro.context import context_for
+from repro.context import StressDuties, context_for
 from repro.core.aging_compiled import CompiledNbtiModel
 from repro.core.profiles import DeviceStress, OperatingProfile
 from repro.netlist.circuit import Circuit
@@ -82,55 +82,47 @@ def _standby_vectors(standby: StandbyStates
 class CompiledShiftPlan:
     """Flattened device-axis layout for the vectorized gate-shift kernel.
 
-    Lowers one ``(circuit, library, stress-duty table)`` triple into flat
+    Lowers one ``(circuit, library, stress duties)`` triple into flat
     per-PMOS arrays once, so every subsequent ``gate_shifts`` query —
     any lifetime, profile, or standby spec — is a handful of NumPy calls
-    instead of a per-device Python loop.  Devices are laid out in
-    ``circuit.gates`` iteration order, ``cell.pmos_devices()`` order
-    within a gate (the exact order the scalar loop visits); gates with
-    no PMOS devices get one stress-free sentinel slot so the segmented
-    max below never sees an empty segment.
+    instead of a per-device Python loop.  Devices are laid out in gate
+    (file) order, ``cell.pmos_devices()`` order within a gate (the exact
+    order the scalar loop visits); gates with no PMOS devices get one
+    stress-free sentinel slot so the segmented max below never sees an
+    empty segment.  The rows are scattered per cell type from the
+    :class:`~repro.context.StressDuties` lane arrays.
 
     The :class:`~repro.context.AnalysisContext` memoizes one plan per
     PI-probability setting under its ``aging_plan`` artifact.
     """
 
     def __init__(self, circuit: Circuit, library: Library,
-                 duty_table: Dict[str, Dict[str, float]]):
+                 duties: StressDuties):
         with obs.span("aging.plan.lower", circuit=circuit.name):
             self.circuit = circuit
             self.library = library
-            self.gate_names: List[str] = []
-            #: gate name -> {PMOS device name -> flat slot}.
-            self.slots: Dict[str, Dict[str, int]] = {}
-            duties: List[float] = []
-            starts: List[int] = []
-            sentinels: List[int] = []
-            for gate in circuit.gates.values():
-                cell = library.get(gate.cell)
-                self.gate_names.append(gate.name)
-                starts.append(len(duties))
-                table = duty_table[gate.name]
-                gate_slots: Dict[str, int] = {}
-                for mosfet in cell.pmos_devices():
-                    gate_slots[mosfet.name] = len(duties)
-                    duties.append(table.get(mosfet.name, 0.0))
-                if not gate_slots:
-                    sentinels.append(len(duties))
-                    duties.append(0.0)
-                self.slots[gate.name] = gate_slots
-            self.duties = np.asarray(duties, dtype=float)
-            self.starts = np.asarray(starts, dtype=np.intp)
-            self._sentinels = np.asarray(sentinels, dtype=np.intp)
-            self.n_devices = len(duties)
+            cols = circuit.columns()
+            self.gate_names: List[str] = cols.names
+            tables = cols.cell_tables(library)
+            slots = np.asarray([max(len(t.pmos), 1) for t in tables],
+                               dtype=np.intp)[cols.cell_ids]
+            self.starts = np.cumsum(slots) - slots
+            self.n_devices = int(slots.sum())
+            self.duties = np.zeros(self.n_devices)
+            for (gates, devices, lanes), table in zip(duties.groups, tables):
+                lane_of = dict(zip(devices, lanes))
+                for d, name in enumerate(table.pmos):
+                    if name in lane_of:
+                        self.duties[self.starts[gates] + d] = lane_of[name]
+            self._sentinels = self.starts[np.asarray(
+                [not t.pmos for t in tables], dtype=bool)[cols.cell_ids]]
             obs.annotate(devices=self.n_devices)
         obs.count("aging.plan.lowerings")
 
     def export_state(self) -> Dict[str, object]:
-        """The flattened device layout as plain arrays/dicts (picklable)."""
+        """The flattened device layout as plain arrays (picklable)."""
         return {
             "gate_names": list(self.gate_names),
-            "slots": {g: dict(s) for g, s in self.slots.items()},
             "duties": np.asarray(self.duties),
             "starts": np.asarray(self.starts),
             "sentinels": np.asarray(self._sentinels),
@@ -144,13 +136,10 @@ class CompiledShiftPlan:
         self = cls.__new__(cls)
         self.circuit = circuit
         self.library = library
-        names = [g.name for g in circuit.gates.values()]
-        if list(state["gate_names"]) != names:
+        if list(state["gate_names"]) != circuit.gate_names():
             raise ValueError("aging-plan state does not match the circuit "
                              "(gate order differs)")
         self.gate_names = list(state["gate_names"])
-        self.slots = {g: {n: int(i) for n, i in s.items()}
-                      for g, s in state["slots"].items()}
         self.duties = np.asarray(state["duties"], dtype=float)
         self.starts = np.asarray(state["starts"], dtype=np.intp)
         self._sentinels = np.asarray(state["sentinels"], dtype=np.intp)
@@ -174,15 +163,19 @@ class CompiledShiftPlan:
         Mirrors the scalar loop's count-then-divide arithmetic so the
         fractions are bit-equal.
         """
+        offsets = {name: {dev: d for d, dev in
+                          enumerate(self.library.table(name).pmos)}
+                   for name in self.circuit.columns().cell_names}
         frac = np.zeros(self.n_devices)
         for states in state_maps:
-            for gate in self.circuit.gates.values():
+            for start, gate in zip(self.starts.tolist(),
+                                   self.circuit.gates.values()):
                 bits = tuple(states[net] for net in gate.inputs)
-                slots = self.slots[gate.name]
+                slots = offsets[gate.cell]
                 for name in stressed_lookup(gate.cell, bits):
                     slot = slots.get(name)
                     if slot is not None:
-                        frac[slot] += 1.0
+                        frac[start + slot] += 1.0
         frac /= len(state_maps)
         return frac
 
@@ -255,7 +248,7 @@ class AgingAnalyzer:
             dv = kernel.delta_vth(profile, plan.duties, fractions, t_total,
                                   ctx.library.tech.pmos.vth0)
             worst = plan.worst_per_gate(dv)
-            return {name: float(w) for name, w in zip(plan.gate_names, worst)}
+            return dict(zip(plan.gate_names, worst.tolist()))
 
     def _scalar_shifts(self, circuit: Circuit, profile: OperatingProfile,
                        t_total: float, force_all: Optional[bool],

@@ -102,6 +102,25 @@ class TestBadInput:
         self.assert_one_line_error(proc)
         assert "structural error: combinational cycle" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["age", "info", "sweep"])
+    @pytest.mark.parametrize("text", [
+        "INPUT(a)\nOUTPUT(a)\ny = NOT(a)\n", "INPUT(a)\nOUTPUT(a)\n",
+    ], ids=["gate-off-output", "no-gate"])
+    def test_no_gate_on_any_output(self, tmp_path, command, text):
+        # Every path would be empty: a zero fresh delay, no ratio.
+        (tmp_path / "z.bench").write_text(text)
+        extra = (["--vectors", "8", "--set-size", "2"]
+                 if command == "sweep" else [])
+        proc = _run_cli(command, "z.bench", *extra, cwd=tmp_path)
+        self.assert_one_line_error(proc)
+        assert "no OUTPUT is driven by a gate" in proc.stderr
+
+    def test_no_gate_on_any_output_with_store(self, tmp_path):
+        (tmp_path / "z.bench").write_text("INPUT(a)\nOUTPUT(a)\n")
+        proc = _run_cli("age", "z.bench", "--store", "S", cwd=tmp_path)
+        self.assert_one_line_error(proc)
+        assert "no OUTPUT is driven by a gate" in proc.stderr
+
     def test_age_checks_flags_before_the_store(self, tmp_path):
         (tmp_path / "copy.bench").write_text(
             "INPUT(a)\nOUTPUT(y)\ny = NOT(a)\n")
@@ -177,6 +196,26 @@ class TestCommands:
                      "400.4"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == \
             "scenario: RAS 1:300, 400.4 K / 330 K, Vth0 0.22 V"
+
+    def test_guardband_vth0_is_exact(self, capsys):
+        lines = []
+        for vth0 in ("0.2200001", "0.2200002"):
+            assert main(["guardband", "--vth0", vth0]) == 0
+            lines.append(capsys.readouterr().out.splitlines()[0])
+        assert lines == [
+            "scenario: RAS 1:9, 400 K / 330 K, Vth0 0.2200001 V",
+            "scenario: RAS 1:9, 400 K / 330 K, Vth0 0.2200002 V"]
+
+    def test_table4_title_is_exact(self, capsys):
+        titles = []
+        for argv in (["--years", "1234567"], ["--years", "1234568"],
+                     ["--ras", "2:18"], []):
+            assert main(["table4", "c17", *argv]) == 0
+            titles.append(capsys.readouterr().out.splitlines()[0])
+        assert titles == [
+            f"c17: internal-node-control potential ({tail})"
+            for tail in ("RAS 1:9, 1234567 years", "RAS 1:9, 1234568 years",
+                         "RAS 1:9, 10 years", "RAS 1:9, 10 years")]
 
     def test_age_header_is_exact(self, capsys):
         headers = []

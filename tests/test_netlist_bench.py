@@ -55,6 +55,18 @@ class TestParsing:
         with pytest.raises(BenchParseError, match="DFF"):
             parse_bench("INPUT(a)\nOUTPUT(y)\ny = DFF(a)\n")
 
+    @pytest.mark.parametrize("text", [
+        "INPUT(a)\nOUTPUT(a)\ny = NOT(a)\n", "INPUT(a)\nOUTPUT(a)\n",
+        "INPUT(a)\nINPUT(b)\nOUTPUT(b)\nOUTPUT(a)\ny = AND(a, b)\n",
+    ])
+    def test_no_gate_on_any_output(self, text):
+        with pytest.raises(BenchParseError, match="no OUTPUT is driven"):
+            parse_bench(text)
+
+    def test_one_gate_output_is_enough(self):
+        c = parse_bench("INPUT(a)\nOUTPUT(a)\nOUTPUT(y)\ny = NOT(a)\n")
+        assert c.primary_outputs == ("a", "y")
+
     def test_garbage_line(self):
         with pytest.raises(BenchParseError, match="line 2"):
             parse_bench("INPUT(a)\nthis is not bench\n")
@@ -205,7 +217,8 @@ class TestParserVersionPin:
 
     #: (PARSER_VERSION, SCHEMA_VERSION) -> input -> circuit fingerprint.
     #: Version 2 builds the same circuits; it rejects cyclic netlists,
-    #: which version 1 accepted.
+    #: which version 1 accepted.  Version 3 builds the same circuits
+    #: again; it rejects a netlist with no gate on any output.
     PINNED = {
         (1, 1): {
             "c17": "4da3f28eacea6c27b8d82696ccbe5da4"
@@ -214,6 +227,12 @@ class TestParserVersionPin:
                           "9974a0e6478d7f60e61bc99c532bbdd2",
         },
         (2, 1): {
+            "c17": "4da3f28eacea6c27b8d82696ccbe5da4"
+                   "161468e5d69e672faadb4f72b9476bc9",
+            "every-rule": "22b8c24da51a4eb3f6e55d17eace8400"
+                          "9974a0e6478d7f60e61bc99c532bbdd2",
+        },
+        (3, 1): {
             "c17": "4da3f28eacea6c27b8d82696ccbe5da4"
                    "161468e5d69e672faadb4f72b9476bc9",
             "every-rule": "22b8c24da51a4eb3f6e55d17eace8400"

@@ -215,7 +215,8 @@ class TestEndpoints:
         ("INPUT(a)\nOUTPUT(y)\ny = FROB(a)\n", "unknown gate type 'FROB'"),
         ("INPUT(a)\nOUTPUT(y)\ny = AND(a, z)\n", "undriven net 'z'"),
         ("INPUT(a)\nOUTPUT(y)\ny = AND(a, y)\n", "combinational cycle"),
-    ], ids=["unknown-gate", "undriven-net", "cycle"])
+        ("INPUT(a)\nOUTPUT(a)\ny = NOT(a)\n", "no OUTPUT is driven"),
+    ], ids=["unknown-gate", "undriven-net", "cycle", "no-gate-output"])
     def test_malformed_bench_400(self, live_server, tmp_path, text,
                                  message):
         url, _store, _service = live_server

@@ -14,7 +14,6 @@ from repro.sim import (
     estimate_probabilities,
     evaluate,
     evaluate_batch,
-    gate_input_probabilities,
     outputs_for,
     propagate_probabilities,
     random_vectors,
@@ -154,13 +153,6 @@ class TestProbabilities:
         act = estimate_activity(c17(), n_vectors=512, seed=2)
         assert all(0.0 <= a <= 1.0 for a in act.values())
         assert max(act.values()) > 0.1
-
-    def test_gate_input_probabilities_adapter(self):
-        c = c17()
-        probs = propagate_probabilities(c)
-        per_gate = gate_input_probabilities(c, probs)
-        assert per_gate["10"] == {"A": 0.5, "B": 0.5}
-        assert per_gate["16"]["B"] == pytest.approx(0.75)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=20, deadline=None)
