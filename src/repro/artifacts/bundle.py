@@ -153,7 +153,8 @@ class ArtifactBundle:
         rows = spec["gates"]
         return Circuit.from_columns(
             spec["name"], spec["primary_inputs"], spec["primary_outputs"],
-            [r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+            [r[0] for r in rows], [r[1] for r in rows],
+            [net for r in rows for net in r[2]], [len(r[2]) for r in rows])
 
     def build_library(self):
         """The library this bundle was compiled against.
@@ -331,10 +332,8 @@ class ArtifactBundle:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArtifactBundle):
             return NotImplemented
-        a, _ = self.to_payload()
-        b, _ = other.to_payload()
-        arrays_a = self.to_payload()[1]
-        arrays_b = other.to_payload()[1]
+        a, arrays_a = self.to_payload()
+        b, arrays_b = other.to_payload()
         if a != b or arrays_a.keys() != arrays_b.keys():
             return False
         return all(np.array_equal(arrays_a[k], arrays_b[k])

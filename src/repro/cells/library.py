@@ -14,7 +14,7 @@ so every cell has roughly the drive of the unit inverter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.cells.cell import Cell, Stage
 from repro.cells.network import Dev, Parallel, Series, SPNode
@@ -271,6 +271,8 @@ class Library:
     cells: Dict[str, Cell] = field(default_factory=dict)
     _tables: Dict[str, CellTable] = field(default_factory=dict, init=False,
                                           repr=False, compare=False)
+    _leakage: Dict[float, Any] = field(default_factory=dict, init=False,
+                                       repr=False, compare=False)
 
     def table(self, name: str) -> CellTable:
         """The :class:`CellTable` of one cell, built on first use."""
@@ -288,11 +290,23 @@ class Library:
             self._tables[name] = table
         return table
 
+    def leakage_table(self, temperature: float):
+        """The :class:`~repro.cells.leakage.LeakageTable` of every cell
+        at ``temperature``, built once (again after :meth:`add`)."""
+        table = self._leakage.get(temperature)
+        if table is None:
+            from repro.cells.leakage import LeakageTable
+
+            table = self._leakage[temperature] = LeakageTable.build(
+                self, temperature)
+        return table
+
     def add(self, cell: Cell) -> None:
         """Register a cell; duplicate names are rejected."""
         if cell.name in self.cells:
             raise ValueError(f"duplicate cell {cell.name!r}")
         self.cells[cell.name] = cell
+        self._leakage.clear()
 
     def get(self, name: str) -> Cell:
         """Look up a cell by name (KeyError lists known cells)."""

@@ -256,13 +256,14 @@ def cmd_age(args) -> int:
     record is looked up first, keyed by ``(circuit_fingerprint,
     AgeScenario.key())`` — the lookup ``repro serve`` makes on submit.
     A hit on both prints from the two records alone: the netlist is
-    read and hashed but not parsed, and no bundle is loaded, hydrated,
-    lowered or written.  A result miss (no record, a damaged one, or
-    one without the four numbers) builds the store-backed context,
-    which hydrates from the stored bundle when there is one, computes,
-    saves the result and persists the bundle if it is absent.  JSON
-    round-trips floats exactly, so a warm run's stdout is
-    byte-identical to the cold run's.
+    read and hashed but not parsed, and nothing is lowered.  A result
+    miss (no record, a damaged one, or one without the four numbers)
+    computes on a plain context and saves only the result record: one
+    scenario needs neither the packed simulator nor the leakage table,
+    and hydrating a stored bundle costs more than the lowering it
+    skips, so ``age`` never reads or writes a bundle.  JSON round-trips
+    floats exactly, so a warm run's stdout is byte-identical to the
+    cold run's.
     """
     from repro.context import AnalysisContext
     from repro.serve.protocol import AgeScenario
@@ -283,12 +284,9 @@ def cmd_age(args) -> int:
     if numbers is None:
         circuit = (resolve_circuit(args.circuit) if source is None
                    else source.circuit())
-        context = AnalysisContext(circuit, store=store)
-        numbers = scenario.compute(context)
+        numbers = scenario.compute(AnalysisContext(circuit))
         if store is not None:
             store.save_result(source.circuit_fp, scenario.key(), numbers)
-            if not store.has_bundle(context.content_key()):
-                context.save_to_store()
     if store is not None:
         _store_note(store)
     _print_age_report(circuit.name if source is None else source.name,

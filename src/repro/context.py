@@ -200,11 +200,10 @@ class AnalysisContext:
         model: the temperature-aware NBTI model.
         leakage_temperature: temperature the leakage lookup table is
             characterized at.
-        leakage_table: optional pre-built :class:`LeakageTable` *or* a
-            zero-argument callable returning one — lets an
-            :class:`~repro.flow.platform.AnalysisPlatform` share one
-            (circuit-independent) table across the contexts of many
-            circuits without forcing an eager build.
+        leakage_table: optional pre-built :class:`LeakageTable`; by
+            default the library's own (:meth:`Library.leakage_table`),
+            one circuit-independent table shared by every context on
+            that library.
         store: optional :class:`~repro.artifacts.store.ArtifactStore`;
             when given, construction tries to hydrate the compiled
             artifacts from the store's bundle for this content key.
@@ -217,9 +216,7 @@ class AnalysisContext:
     def __init__(self, circuit: Circuit, library: Optional[Library] = None,
                  model: NbtiModel = DEFAULT_MODEL, *,
                  leakage_temperature: float = DEFAULT_LEAKAGE_TEMPERATURE,
-                 leakage_table: Union[LeakageTable,
-                                      Callable[[], LeakageTable],
-                                      None] = None,
+                 leakage_table: Optional[LeakageTable] = None,
                  store: Optional[Any] = None):
         from repro.sim.logic import default_library
         from repro.sta.degradation import AgingAnalyzer
@@ -315,13 +312,11 @@ class AnalysisContext:
         return bundle_key(fps["circuit"], fps["library"], fps["model"],
                           self.leakage_temperature)
 
-    def _hydrate_from_store(self) -> bool:
+    def _hydrate_from_store(self) -> None:
         """Seed the caches from the backing store, if it has our bundle."""
         bundle = self.store.load_bundle(self.content_key())
-        if bundle is None:
-            return False
-        bundle.seed(self)
-        return True
+        if bundle is not None:
+            bundle.seed(self)
 
     def save_to_store(self):
         """Snapshot the compiled artifacts into the backing store.
@@ -340,8 +335,7 @@ class AnalysisContext:
         if self.store is None:
             raise ValueError("context has no backing store")
         bundle = ArtifactBundle.snapshot(self)
-        if not self.store.has_bundle(bundle.bundle_key):
-            self.store.save_bundle(bundle)
+        self.store.save_bundle(bundle)  # a no-op when already stored
         return bundle
 
     # -- cache keys --------------------------------------------------------
@@ -629,17 +623,12 @@ class AnalysisContext:
 
     @property
     def leakage_table(self) -> LeakageTable:
-        """The per-cell leakage lookup table, built (or fetched) once."""
-        def compute() -> LeakageTable:
-            source = self._leakage_source
-            if isinstance(source, LeakageTable):
-                return source
-            if callable(source):
-                return source()
-            return LeakageTable.build(self.library, self.leakage_temperature)
-
-        return self._memo("leakage_table", (self.leakage_temperature,),
-                          compute)
+        """The per-cell leakage lookup table: the one passed in, else
+        the library's at :attr:`leakage_temperature`."""
+        return self._memo(
+            "leakage_table", (self.leakage_temperature,),
+            lambda: self._leakage_source or self.library.leakage_table(
+                self.leakage_temperature))
 
     def leakage_for_bits(self, bits: Sequence[int]) -> float:
         """Standby leakage (amperes) with the PIs parked at ``bits``."""

@@ -130,16 +130,13 @@ class AnalysisPlatform:
         self.model = model
         self.leakage_temperature = leakage_temperature
         self.analyzer = AgingAnalyzer(library=self.library, model=model)
-        self._leakage_table: Optional[LeakageTable] = None
         self._contexts: Dict[int, AnalysisContext] = {}
 
     @property
     def leakage_table(self) -> LeakageTable:
-        """The per-cell leakage lookup table, built on first use."""
-        if self._leakage_table is None:
-            self._leakage_table = LeakageTable.build(
-                self.library, self.leakage_temperature)
-        return self._leakage_table
+        """The per-cell leakage lookup table (the library's, built on
+        first use)."""
+        return self.library.leakage_table(self.leakage_temperature)
 
     def context_for(self, circuit: Circuit) -> AnalysisContext:
         """The platform's memoized evaluation context for ``circuit``.
@@ -153,8 +150,7 @@ class AnalysisPlatform:
         if ctx is None or ctx.circuit is not circuit:
             ctx = AnalysisContext(
                 circuit, library=self.library, model=self.model,
-                leakage_temperature=self.leakage_temperature,
-                leakage_table=lambda: self.leakage_table)
+                leakage_temperature=self.leakage_temperature)
             self._contexts[id(circuit)] = ctx
         return ctx
 
@@ -166,9 +162,6 @@ class AnalysisPlatform:
         :class:`~repro.artifacts.bundle.ArtifactBundle` arrives with its
         compiled artifacts already seeded; adopting it makes
         :meth:`context_for` return it instead of building a cold one.
-        If the platform has no leakage table yet and the context owns a
-        built one, the platform adopts that too (the table is
-        circuit-independent).
 
         Raises:
             ValueError: when the context is bound to a different library
@@ -179,9 +172,6 @@ class AnalysisPlatform:
             raise ValueError("context is bound to a different library; "
                              "build the platform on context.library")
         self._contexts[id(context.circuit)] = context
-        if (self._leakage_table is None
-                and "leakage_table" in context._caches):
-            self._leakage_table = context.leakage_table
 
     def analyze_scenario(self, circuit: Circuit, profile: OperatingProfile,
                          lifetime: float = TEN_YEARS, *,

@@ -22,7 +22,7 @@ import io
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.netlist.circuit import Circuit, CircuitError, Gate
 
@@ -65,9 +65,9 @@ class BenchParseError(Exception):
 
 
 def _decompose_wide(out: str, stem: str, inverting: bool, ins: List[str],
-                    rows: List[tuple], counter: List[int]) -> None:
-    """Map one possibly-wide ISCAS gate onto library cells, appending a
-    ``(name, cell, inputs)`` row per library gate.
+                    emit: Callable, counter: List[int]) -> None:
+    """Map one possibly-wide ISCAS gate onto library cells, calling
+    ``emit(name, cell, inputs)`` once per library gate.
 
     Fan-in <= 4 maps directly.  Wider gates become a balanced reduction:
     the non-inverting core (AND/OR) absorbs chunks of 4, and the final
@@ -77,7 +77,7 @@ def _decompose_wide(out: str, stem: str, inverting: bool, ins: List[str],
     if stem in ("INV", "BUF"):
         if len(ins) != 1:
             raise BenchParseError(f"{out}: {stem} takes exactly one input")
-        rows.append((out, stem, ins))
+        emit(out, stem, ins)
         return
     if stem in ("XOR", "XNOR"):
         if len(ins) < 2:
@@ -86,13 +86,13 @@ def _decompose_wide(out: str, stem: str, inverting: bool, ins: List[str],
         while len(nets) > 2:
             counter[0] += 1
             mid = f"{out}_x{counter[0]}"
-            rows.append((mid, "XOR2", nets[:2]))
+            emit(mid, "XOR2", nets[:2])
             nets = [mid] + nets[2:]
-        rows.append((out, f"{stem}2", nets))
+        emit(out, f"{stem}2", nets)
         return
     if len(ins) < 2:
         # Single-input AND/OR degenerate to a buffer (NAND/NOR to INV).
-        rows.append((out, "INV" if inverting else "BUF", ins))
+        emit(out, "INV" if inverting else "BUF", ins)
         return
     base = "AND" if stem in ("AND", "NAND") else "OR"
     nets = list(ins)
@@ -100,10 +100,10 @@ def _decompose_wide(out: str, stem: str, inverting: bool, ins: List[str],
         chunk, nets = nets[:_MAX_FANIN], nets[_MAX_FANIN:]
         counter[0] += 1
         mid = f"{out}_r{counter[0]}"
-        rows.append((mid, f"{base}{len(chunk)}", chunk))
+        emit(mid, f"{base}{len(chunk)}", chunk)
         nets.insert(0, mid)
     final_stem = stem if stem in ("AND", "OR", "NAND", "NOR") else base
-    rows.append((out, f"{final_stem}{len(nets)}", nets))
+    emit(out, f"{final_stem}{len(nets)}", nets)
 
 
 def _direct_cells() -> Dict[Tuple[str, int], str]:
@@ -112,14 +112,14 @@ def _direct_cells() -> Dict[Tuple[str, int], str]:
     table = {}
     for keyword, (stem, inverting) in _GATE_TYPES.items():
         for fanin in range(1, _MAX_FANIN + 1):
-            rows: List[tuple] = []
+            cells: List[str] = []
             try:
-                _decompose_wide("y", stem, inverting, ["a"] * fanin, rows,
-                                [0])
+                _decompose_wide("y", stem, inverting, ["a"] * fanin,
+                                lambda _, cell, __: cells.append(cell), [0])
             except BenchParseError:
                 continue
-            if len(rows) == 1:
-                table[(keyword, fanin)] = rows[0][1]
+            if len(cells) == 1:
+                table[(keyword, fanin)] = cells[0]
     return table
 
 
@@ -127,8 +127,8 @@ _DIRECT_CELLS = _direct_cells()
 
 
 def parse_bench(text: str, name: str = "bench") -> Circuit:
-    """Parse ``.bench`` text into a :class:`Circuit`, built from columns
-    (:meth:`Circuit.from_columns`) without :class:`Gate` objects.
+    """Parse ``.bench`` text into a :class:`Circuit`, built from one list
+    per column (:meth:`Circuit.from_columns`), no per-gate container.
 
     Raises:
         BenchParseError: on syntax errors (message carries line number),
@@ -138,8 +138,18 @@ def parse_bench(text: str, name: str = "bench") -> Circuit:
     """
     inputs: List[str] = []
     outputs: List[str] = []
-    rows: List[tuple] = []
+    names: List[str] = []
+    cells: List[str] = []
+    fanin: List[str] = []
+    counts: List[int] = []
     counter = [0]
+
+    def emit(gate: str, cell: str, nets: List[str]) -> None:
+        names.append(gate)
+        cells.append(cell)
+        fanin.extend(nets)
+        counts.append(len(nets))
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -158,7 +168,7 @@ def parse_bench(text: str, name: str = "bench") -> Circuit:
         gtype = gtype.upper()
         cell = _DIRECT_CELLS.get((gtype, len(ins)))
         if cell is not None:
-            rows.append((out, cell, ins))
+            emit(out, cell, ins)
             continue
         if gtype == "DFF":
             raise BenchParseError(
@@ -169,12 +179,12 @@ def parse_bench(text: str, name: str = "bench") -> Circuit:
         if not ins:
             raise BenchParseError(f"line {lineno}: gate with no inputs")
         stem, inverting = _GATE_TYPES[gtype]
-        _decompose_wide(out, stem, inverting, ins, rows, counter)
+        _decompose_wide(out, stem, inverting, ins, emit, counter)
     if not outputs:
         raise BenchParseError("no OUTPUT declared")
     try:
-        circuit = Circuit.from_columns(name, inputs, outputs,
-                                       *(zip(*rows) if rows else ((),) * 3))
+        circuit = Circuit.from_columns(name, inputs, outputs, names, cells,
+                                       fanin, counts)
         # Memoized on the circuit, so the analysis reuses this order.
         circuit.topological_order()
     except CircuitError as exc:

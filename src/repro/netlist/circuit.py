@@ -105,17 +105,27 @@ class NetValues(Mapping):
         return f"{type(self).__name__}({self._mapping()!r})"
 
 
+def _gate_columns(gates: Sequence[Gate]) -> tuple:
+    """``(names, cells, fanin_nets, counts)``: per-gate names and cells,
+    every gate's input nets in one flat list, per-gate input counts."""
+    return ([g.name for g in gates], [g.cell for g in gates],
+            [net for g in gates for net in g.inputs],
+            [len(g.inputs) for g in gates])
+
+
 class NetlistColumns:
     """A netlist as arrays, gates in file order: ``names``, ``net_names``
     (PIs, then gates: net id ``n_pi + g`` is gate ``g``), ``cell_names``
     (first-seen) and ``cell_ids`` per gate, the fanin CSR ``fanin_ptr``
-    / ``fanin`` of net ids in pin order, and ``po_ids``.  Construction
-    raises :class:`CircuitError` on the first duplicate or PI-named
-    gate, duplicate PI, undriven gate input or undriven output."""
+    / ``fanin`` of net ids in pin order, and ``po_ids``; built from
+    :func:`_gate_columns`' four lists.  Construction raises
+    :class:`CircuitError` on the first duplicate or PI-named gate,
+    duplicate PI, undriven gate input or undriven output."""
 
     def __init__(self, primary_inputs: Sequence[str],
                  primary_outputs: Sequence[str], names: Sequence[str],
-                 cells: Sequence[str], inputs: Sequence[Sequence[str]]):
+                 cells: Sequence[str], fanin_nets: Sequence[str],
+                 counts: Sequence[int]):
         n_pi, n = len(primary_inputs), len(names)
         pi_set = set(primary_inputs)
         index = dict(zip(names, range(n_pi, n_pi + n)))
@@ -131,17 +141,15 @@ class NetlistColumns:
         if len(pi_set) != n_pi:
             raise CircuitError("duplicate primary input names")
         index.update(zip(primary_inputs, range(n_pi)))
-        flat = [net for nets in inputs for net in nets]
         self.fanin_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.fromiter(map(len, inputs), np.int64, n),
-                  out=self.fanin_ptr[1:])
-        self.fanin = np.fromiter(map(index.get, flat, repeat(-1)), np.int64,
-                                 len(flat))
+        np.cumsum(np.asarray(counts, dtype=np.int64), out=self.fanin_ptr[1:])
+        self.fanin = np.fromiter(map(index.get, fanin_nets, repeat(-1)),
+                                 np.int64, len(fanin_nets))
         if (self.fanin < 0).any():
             at = int(np.argmax(self.fanin < 0))
             g = int(np.searchsorted(self.fanin_ptr, at, side="right")) - 1
             raise CircuitError(
-                f"gate {names[g]!r} reads undriven net {flat[at]!r}")
+                f"gate {names[g]!r} reads undriven net {fanin_nets[at]!r}")
         self.po_ids = np.fromiter(map(index.get, primary_outputs, repeat(-1)),
                                   np.int64, len(primary_outputs))
         if (self.po_ids < 0).any():
@@ -249,30 +257,28 @@ class Circuit:
                  primary_outputs: Sequence[str], gates: Iterable[Gate]):
         gates = list(gates)
         self._bind(name, primary_inputs, primary_outputs,
-                   [g.name for g in gates], [g.cell for g in gates],
-                   [g.inputs for g in gates])
+                   *_gate_columns(gates))
         self._gates = dict(zip(self._cols.names, gates))
 
     @classmethod
     def from_columns(cls, name: str, primary_inputs: Sequence[str],
                      primary_outputs: Sequence[str], names: Sequence[str],
-                     cells: Sequence[str],
-                     inputs: Sequence[Sequence[str]]) -> "Circuit":
-        """A circuit from per-gate names, cells and input-net lists in
-        file order (raises :class:`CircuitError` like the constructor)."""
+                     cells: Sequence[str], fanin_nets: Sequence[str],
+                     counts: Sequence[int]) -> "Circuit":
+        """A circuit from :func:`_gate_columns`' four lists, file order
+        (raises :class:`CircuitError` like the constructor)."""
         self = cls.__new__(cls)
         self._bind(name, primary_inputs, primary_outputs, names, cells,
-                   inputs)
+                   fanin_nets, counts)
         return self
 
-    def _bind(self, name, primary_inputs, primary_outputs, names, cells,
-              inputs) -> None:
+    def _bind(self, name, primary_inputs, primary_outputs, *columns) -> None:
         self.name = name
         self.primary_inputs: Tuple[str, ...] = tuple(primary_inputs)
         self.primary_outputs: Tuple[str, ...] = tuple(primary_outputs)
         self._gates: Optional[Dict[str, Gate]] = None
         self._cols: Optional[NetlistColumns] = NetlistColumns(
-            self.primary_inputs, self.primary_outputs, names, cells, inputs)
+            self.primary_inputs, self.primary_outputs, *columns)
         self.invalidate_caches()
 
     # -- structure ---------------------------------------------------------
@@ -288,11 +294,9 @@ class Circuit:
     def columns(self) -> NetlistColumns:
         """The netlist as :class:`NetlistColumns` (shared: read-only)."""
         if self._cols is None:
-            gates = list(self._gates.values())
             self._cols = NetlistColumns(
                 self.primary_inputs, self.primary_outputs,
-                [g.name for g in gates], [g.cell for g in gates],
-                [g.inputs for g in gates])
+                *_gate_columns(list(self._gates.values())))
         return self._cols
 
     def gate_names(self) -> List[str]:

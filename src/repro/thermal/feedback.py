@@ -17,9 +17,8 @@ above the naive estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from repro.cells.leakage import LeakageTable
 from repro.cells.library import Library
 from repro.leakage.circuit import expected_leakage
 from repro.netlist.circuit import Circuit
@@ -77,13 +76,10 @@ def solve_standby_temperature(circuit: Circuit, rc: ThermalRC, *,
     library = library or default_library()
     vdd = library.tech.vdd
 
-    tables: Dict[float, LeakageTable] = {}
-
     def leak_at(temperature: float) -> float:
-        key = round(temperature, 1)
-        if key not in tables:
-            tables[key] = LeakageTable.build(library, key)
-        return expected_leakage(circuit, tables[key], library=library)
+        return expected_leakage(
+            circuit, library.leakage_table(round(temperature, 1)),
+            library=library)
 
     t = rc.steady_state(other_power)
     converged = False

@@ -1,5 +1,6 @@
 """Tests for the standard-cell library: logic, delay, leakage, stress."""
 
+import dataclasses
 import itertools
 
 import pytest
@@ -217,6 +218,23 @@ class TestLeakageTable:
         table = LeakageTable.build(lib, 400.0)
         with pytest.raises(KeyError):
             table.lookup("FOO", (0,))
+
+    def test_library_memo_per_temperature(self):
+        library = build_library()
+        table = library.leakage_table(400.0)
+        assert library.leakage_table(400.0) is table
+        assert table.entries == LeakageTable.build(library, 400.0).entries
+        assert library.leakage_table(330.0) is not table
+        assert library.leakage_table(330.0).temperature == 330.0
+
+    def test_add_drops_the_memo(self):
+        library = build_library()
+        old = library.leakage_table(400.0)
+        extra = dataclasses.replace(library.get("NAND2"), name="NAND2X")
+        library.add(extra)
+        table = library.leakage_table(400.0)
+        assert table is not old and "NAND2X" not in old.entries
+        assert table.entries["NAND2X"] == old.entries["NAND2"]
 
 
 class TestStressHelpers:

@@ -381,15 +381,68 @@ class TestAgeStoreCli:
         assert self._store_scope(warm) == {
             "bundle": {"hits": 0, "misses": 0},
             "result": {"hits": 1, "misses": 0}}
-        # A result miss on the same circuit hydrates from the bundle the
-        # cold run stored: it still lowers nothing.
-        _, other = self._age(capsys, argv + ["--ras", "1:5"],
-                             tmp_path / "other.json")
+        # A result miss on the same circuit computes on a plain context:
+        # no bundle is read, hydrated or written.
+        assert main(["age", "c432", "--ras", "1:5"]) == 0
+        plain = capsys.readouterr().out
+        other_out, other = self._age(capsys, argv + ["--ras", "1:5"],
+                                     tmp_path / "other.json")
+        assert other_out == plain
         assert self._store_scope(other) == {
-            "bundle": {"hits": 1, "misses": 0},
+            "bundle": {"hits": 0, "misses": 0},
             "result": {"hits": 0, "misses": 1}}
-        assert self._counter(other, "artifacts.hydrations") > 0
-        assert self._lowerings(other) == 0
+        assert self._counter(other, "artifacts.hydrations") == 0
+        assert not list((tmp_path / "store").glob("bundles/*/*"))
+
+    @pytest.mark.parametrize("name", ["c432", "bench"])
+    def test_age_stores_no_bundle(self, tmp_path, capsys, name):
+        if name == "bench":
+            name = str(tmp_path / "g.bench")
+            assert main(["generate", name, "--gates", "300"]) == 0
+        store = tmp_path / "store"
+        for ras, note in (("1:9", "result hits=0 misses=1"),
+                          ("1:9", "result hits=1 misses=0"),
+                          ("1:5", "result hits=0 misses=1")):
+            capsys.readouterr()
+            assert main(["age", name, "--ras", ras]) == 0
+            plain = capsys.readouterr().out
+            assert main(["age", name, "--ras", ras, "--store",
+                         str(store)]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == plain
+            assert f"bundle hits=0 misses=0, {note}" in captured.err
+        assert len(list(store.glob("results/*/*.json"))) == 2
+        assert not (store / "bundles").exists()
+
+    @pytest.mark.parametrize("name", ["c432", "c17"])
+    def test_store_with_a_bundle_still_answers(self, tmp_path, capsys,
+                                               name):
+        # The layout an earlier ``age --store`` left: the result record
+        # (and for a netlist file its source record) plus the circuit's
+        # bundle, which ``cache warm`` writes the same way.
+        store = tmp_path / "store"
+        argv = ["age", name, "--store", str(store)]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert main(["cache", "warm", name, "--store", str(store)]) == 0
+        capsys.readouterr()
+        bundle = {p: p.read_bytes() for p in store.glob("bundles/*/*")}
+        assert len(bundle) == 2
+        warm_out, warm = self._age(capsys, argv, tmp_path / "warm.json")
+        assert warm_out == cold
+        assert self._store_scope(warm)["result"] == {"hits": 1, "misses": 0}
+        # A new scenario computes and ignores the stored bundle.
+        assert main(["age", name, "--years", "5"]) == 0
+        plain = capsys.readouterr().out
+        other_out, other = self._age(capsys, argv + ["--years", "5"],
+                                     tmp_path / "other.json")
+        assert other_out == plain
+        assert self._store_scope(other) == {
+            "bundle": {"hits": 0, "misses": 0},
+            "result": {"hits": 0, "misses": 1}}
+        assert self._counter(other, "artifacts.hydrations") == 0
+        assert {p: p.read_bytes()
+                for p in store.glob("bundles/*/*")} == bundle
 
     @pytest.mark.parametrize("damage", ["empty", "truncated", "no-numbers"])
     def test_damaged_result_record_is_recomputed(self, tmp_path, capsys,
@@ -431,33 +484,6 @@ class TestAgeStoreCli:
         doc = json.loads(report.read_text())
         assert self._counter(doc, "store.result_invalid") == 1
         assert record.read_bytes() == good
-
-    @pytest.mark.parametrize("part", ["manifest", "npz"])
-    def test_damaged_bundle_is_rebuilt(self, tmp_path, capsys, part):
-        store = tmp_path / "store"
-        assert main(["age", "c432", "--store", str(store)]) == 0
-        capsys.readouterr()
-        [manifest] = store.glob("bundles/*/*.json")
-        target = manifest.with_suffix(".npz") if part == "npz" else manifest
-        good = target.read_bytes()
-        target.write_bytes(good[:len(good) // 2])
-        # A new scenario misses the result and reads the damaged bundle.
-        argv = ["age", "c432", "--ras", "1:5"]
-        assert main(argv) == 0
-        reference = capsys.readouterr().out
-        out, doc = self._age(capsys, argv + ["--store", str(store)],
-                             tmp_path / "damaged.json")
-        assert out == reference
-        assert self._counter(doc, "store.bundle_corrupt") == 1
-        assert self._store_scope(doc) == {
-            "bundle": {"hits": 0, "misses": 1},
-            "result": {"hits": 0, "misses": 1}}
-        # The recompute rewrote the bundle: the next miss hydrates it.
-        _, doc = self._age(capsys, ["age", "c432", "--ras", "1:3",
-                                    "--store", str(store)],
-                           tmp_path / "next.json")
-        assert self._store_scope(doc)["bundle"] == {"hits": 1, "misses": 0}
-        assert self._lowerings(doc) == 0
 
 
 class TestDamagedRunRecord:
@@ -512,6 +538,34 @@ class TestSweepStoreCli:
         names = {s["name"] for root in doc["spans"]
                  for s in _walk_spans(root)}
         assert "flow.run_sweep" not in names
+
+    @pytest.mark.parametrize("part", ["manifest", "npz"])
+    def test_damaged_bundle_is_rebuilt(self, tmp_path, capsys, part):
+        store = ["--store", str(tmp_path / "store")]
+        self._sweep(capsys, ["c17"] + self.ARGS + store)
+        [manifest] = (tmp_path / "store").glob("bundles/*/*.json")
+        target = manifest.with_suffix(".npz") if part == "npz" else manifest
+        good = target.read_bytes()
+        target.write_bytes(good[:len(good) // 2])
+        # A new scenario misses the row and reads the damaged bundle.
+        argv = ["c17", "--ras", "1:5"] + self.ARGS
+        reference = self._sweep(capsys, argv).out
+        report = tmp_path / "damaged.json"
+        damaged = self._sweep(capsys, argv + store + ["--metrics",
+                                                      str(report)])
+        assert damaged.out == reference
+        assert "bundle hits=0 misses=1, result hits=0 misses=1" in \
+            damaged.err
+        doc = json.loads(report.read_text())
+        assert TestAgeStoreCli._counter(doc, "store.bundle_corrupt") == 1
+        # The recompute rewrote the bundle: the next miss hydrates it.
+        report = tmp_path / "next.json"
+        rerun = self._sweep(capsys, ["c17", "--ras", "1:3"] + self.ARGS
+                            + store + ["--metrics", str(report)])
+        assert "bundle hits=1 misses=0, result hits=0 misses=1" in rerun.err
+        doc = json.loads(report.read_text())
+        assert TestAgeStoreCli._counter(doc, "artifacts.hydrations") > 0
+        assert TestAgeStoreCli()._lowerings(doc) == 0
 
     def test_partial_then_full_is_byte_identical(self, tmp_path, capsys):
         store = ["--store", str(tmp_path / "store")]

@@ -278,6 +278,32 @@ class TestCoOptimizationSweep:
         assert len(row.chosen_bits) == len(load_circuit("c17").primary_inputs)
 
 
+@pytest.mark.parametrize("front", ["sweep", "serve"])
+def test_leakage_table_built_once_per_library(tmp_path, monkeypatch, front):
+    # The table depends on the library and temperature only: a sweep,
+    # or the service's bundle builds, over three circuits build it once.
+    from repro.cells.leakage import LeakageTable
+    from repro.serve.workers import BundleCache
+    from repro.sim.logic import default_library
+
+    monkeypatch.setattr(default_library(), "_leakage", {})
+    builds = []
+    build = LeakageTable.build.__func__
+    monkeypatch.setattr(LeakageTable, "build", classmethod(
+        lambda cls, *args: builds.append(args) or build(cls, *args)))
+    names = ["c17", "c432", "c499"]
+    if front == "sweep":
+        rows = run_co_optimization_sweep(names, PROFILE, TEN_YEARS,
+                                         n_vectors=8, max_set_size=2,
+                                         max_workers=1)
+        assert [row.name for row in rows] == names
+    else:
+        cache = BundleCache(ArtifactStore(tmp_path / "store"))
+        for name in names:
+            cache.bundle_for(name, load_circuit(name).content_fingerprint())
+    assert builds == [(default_library(), 400.0)]
+
+
 # Three small netlists of distinct content, so each sweep row has its
 # own result record.
 _TINY_BENCH = {
@@ -287,12 +313,26 @@ _TINY_BENCH = {
 }
 
 
+def _await_rows_before(poisoned: str, rows: int = 2) -> None:
+    """Wait until the sweep has stored ``rows`` result records in the
+    ``store`` directory beside the ``poisoned`` netlist: a failing row
+    may start while a row before it still runs, and fail fast would
+    then drop that row's record."""
+    results = Path(poisoned).parent / "store" / "results"
+    deadline = time.monotonic() + 60.0
+    while (len(list(results.glob("*/*.json"))) < rows
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+
+
 @dataclass(frozen=True)
 class _RaiseOnPoisoned(CoOptimizationJob):
-    """A co-optimization row that fails on the ``poisoned`` circuit."""
+    """A co-optimization row that fails on the ``poisoned`` circuit,
+    once the rows before it are stored."""
 
     def compute(self, context):
         if Path(self.circuit).stem == "poisoned":
+            _await_rows_before(self.circuit)
             raise RuntimeError("worker failed at job k")
         return super().compute(context)
 
@@ -300,11 +340,11 @@ class _RaiseOnPoisoned(CoOptimizationJob):
 @dataclass(frozen=True)
 class _KillOnPoisoned(CoOptimizationJob):
     """A co-optimization row whose worker dies on the ``poisoned``
-    circuit, once the rows before it are done."""
+    circuit, once the rows before it are stored."""
 
     def compute(self, context):
         if Path(self.circuit).stem == "poisoned":
-            time.sleep(0.5)
+            _await_rows_before(self.circuit)
             _KillWorker().compute(context)
         return super().compute(context)
 
